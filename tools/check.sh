@@ -27,6 +27,10 @@
 #                             # scenario: rediscover with the bug injected
 #                             # (exit 3 + minimized spec), replay the spec
 #                             # byte-identically, and sweep clean without it
+#   tools/check.sh --figures  # figure goldens: runs each figure binary
+#                             # listed in FIGURE_BINS in its own temp dir
+#                             # (in parallel) and diffs its stdout and any
+#                             # BENCH_*.json it writes against bench/expected/
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -171,6 +175,62 @@ if [[ "${MODE}" == "--mc" ]]; then
     ./build/tools/ringctl mc --scenario="${sc}" --inject-bug=false
   done
   echo "check.sh: mc suite passed"
+  exit 0
+fi
+
+# Figure binaries with committed goldens under bench/expected/: stdout goes
+# to <name>.txt; a binary that writes BENCH_*.json into its working directory
+# has each file committed there under the same name.
+FIGURE_BINS=(fig7_latency fig8_move fig12_metadata_recovery
+             fig13_block_recovery chaos_availability rebalance_cost
+             ablation_unavailability)
+
+if [[ "${MODE}" == "--figures" ]]; then
+  echo "== figures: build figure binaries =="
+  cmake -B build -S . "${LAUNCHER_ARGS[@]}" >/dev/null
+  cmake --build build -j "${JOBS}" --target "${FIGURE_BINS[@]}"
+  repo_root="$(pwd)"
+  out_root="$(mktemp -d)"
+  trap 'rm -rf "${out_root}"' EXIT
+  pids=()
+  for bin in "${FIGURE_BINS[@]}"; do
+    mkdir -p "${out_root}/${bin}"
+    (cd "${out_root}/${bin}" && "${repo_root}/build/bench/${bin}" \
+       >stdout.txt 2>stderr.txt) &
+    pids+=("$!")
+  done
+  failed=0
+  for i in "${!FIGURE_BINS[@]}"; do
+    bin="${FIGURE_BINS[$i]}"
+    if ! wait "${pids[$i]}"; then
+      echo "figures: ${bin} exited non-zero" >&2
+      cat "${out_root}/${bin}/stderr.txt" >&2
+      failed=1
+      continue
+    fi
+    ok=1
+    if ! diff -u "bench/expected/${bin}.txt" "${out_root}/${bin}/stdout.txt"; then
+      echo "figures: ${bin} stdout differs from bench/expected/${bin}.txt" >&2
+      ok=0
+    fi
+    for json in "${out_root}/${bin}"/BENCH_*.json; do
+      [[ -e "${json}" ]] || continue
+      name="$(basename "${json}")"
+      if ! diff -u "bench/expected/${name}" "${json}"; then
+        echo "figures: ${bin} ${name} differs from bench/expected/${name}" >&2
+        ok=0
+      fi
+    done
+    if [[ "${ok}" -eq 1 ]]; then
+      echo "figures: ${bin} matches its golden"
+    else
+      failed=1
+    fi
+  done
+  if [[ "${failed}" -ne 0 ]]; then
+    exit 1
+  fi
+  echo "check.sh: figures suite passed"
   exit 0
 fi
 

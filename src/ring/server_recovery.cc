@@ -839,6 +839,9 @@ void RingServer::RecoverAllData(std::function<void()> done) {
           }
         });
         if (!task.entries.empty()) {
+          // Recover in (key, version) order: the metadata table's visit
+          // order is a layout detail and must not shape the schedule.
+          std::sort(task.entries.begin(), task.entries.end());
           tasks->push_back(std::move(task));
         }
       }

@@ -26,12 +26,30 @@ RingClient::RingClient(RingRuntime* runtime, uint32_t index)
       config_(runtime->membership().ConfigView(0)),
       rng_(runtime->options().seed * 0x9e3779b97f4a7c15ULL + node_) {}
 
-uint32_t RingClient::ShardFor(const Key& key) const {
-  return KeyShard(key, config_.num_shards());
+net::NodeId RingClient::CoordinatorFor(uint64_t hash) const {
+  return config_.CoordinatorOfShard(ShardOfHash(hash, config_.num_shards()));
 }
 
-net::NodeId RingClient::CoordinatorFor(const Key& key) const {
-  return config_.CoordinatorOfShard(ShardFor(key));
+uint64_t RingClient::NewRequest() {
+  if (next_req_ - floor_ == window_.size()) {
+    // Window full: double the ring, re-placing the incomplete requests.
+    std::vector<Outstanding> grown(window_.empty() ? 64 : window_.size() * 2);
+    for (uint64_t id = floor_; id < next_req_; ++id) {
+      grown[id & (grown.size() - 1)] =
+          std::move(window_[id & (window_.size() - 1)]);
+    }
+    window_ = std::move(grown);
+  }
+  window_[next_req_ & (window_.size() - 1)] = Outstanding{};
+  return next_req_++;
+}
+
+RingClient::Outstanding* RingClient::Find(uint64_t req_id) {
+  if (req_id < floor_ || req_id >= next_req_) {
+    return nullptr;
+  }
+  Outstanding* o = &window_[req_id & (window_.size() - 1)];
+  return o->done ? nullptr : o;
 }
 
 void RingClient::RefreshConfig() {
@@ -43,11 +61,18 @@ auto RingClient::Complete(uint64_t req_id, sim::SimTime start,
                           const char* opname, obs::OpKind kind,
                           MemgestId memgest, Fn cb) {
   return [this, req_id, start, opname, kind, memgest, cb](auto&&... args) {
-    auto it = outstanding_.find(req_id);
-    if (it == outstanding_.end() || it->second.done) {
+    Outstanding* o = Find(req_id);
+    if (o == nullptr) {
       return;  // duplicate reply (multicast raced with the original)
     }
-    outstanding_.erase(it);
+    o->done = true;
+    o->send = nullptr;
+    o->fail = nullptr;
+    --in_flight_;
+    while (floor_ < next_req_ &&
+           window_[floor_ & (window_.size() - 1)].done) {
+      ++floor_;
+    }
     ++completed_;
     const sim::SimTime end = rt_->simulator().now();
     latencies_.Add(static_cast<double>(end - start) / 1000.0);
@@ -72,20 +97,21 @@ auto RingClient::Complete(uint64_t req_id, sim::SimTime start,
 void RingClient::Launch(uint64_t req_id, std::function<void(bool)> send,
                         std::function<void()> fail, bool hedgeable) {
   const auto& p = rt_->simulator().params();
-  Outstanding o;
-  o.send = send;
-  o.fail = std::move(fail);
+  Outstanding* o = Find(req_id);
+  o->launched = true;
+  o->send = std::move(send);
+  o->fail = std::move(fail);
   if (p.client_retry_budget_ns > 0) {
-    o.deadline = rt_->simulator().now() + p.client_retry_budget_ns;
+    o->deadline = rt_->simulator().now() + p.client_retry_budget_ns;
   }
-  outstanding_.emplace(req_id, std::move(o));
-  send(false);
+  ++in_flight_;
+  o->send(false);
   if (hedgeable && p.client_hedge_delay_ns > 0 &&
       p.client_hedge_delay_ns < p.client_retry_timeout_ns) {
     rt_->simulator().After(p.client_hedge_delay_ns, [this, req_id] {
-      auto it = outstanding_.find(req_id);
-      if (it == outstanding_.end() || it->second.done ||
-          it->second.retries > 0 || !rt_->fabric().alive(node_)) {
+      Outstanding* pending = Find(req_id);
+      if (pending == nullptr || pending->retries > 0 ||
+          !rt_->fabric().alive(node_)) {
         return;
       }
       // Hedge: multicast without waiting for the retry timeout. The request
@@ -96,7 +122,7 @@ void RingClient::Launch(uint64_t req_id, std::function<void(bool)> send,
       rt_->simulator().hub().recorder().Record(obs::RecKind::kClient, "hedge",
                                                node_, OpId(req_id));
       const auto& params = rt_->simulator().params();
-      auto send_again = it->second.send;
+      auto send_again = pending->send;
       cpu().Execute(params.client_base_ns +
                         rt_->membership().num_members() * params.client_post_ns,
                     [send_again] { send_again(true); });
@@ -127,8 +153,8 @@ uint64_t RingClient::NextRetryWait(Outstanding* o) {
 }
 
 void RingClient::CheckTimeout(uint64_t req_id) {
-  auto it = outstanding_.find(req_id);
-  if (it == outstanding_.end() || it->second.done) {
+  Outstanding* o = Find(req_id);
+  if (o == nullptr) {
     return;
   }
   if (!rt_->fabric().alive(node_)) {
@@ -136,30 +162,29 @@ void RingClient::CheckTimeout(uint64_t req_id) {
   }
   const auto& p = rt_->simulator().params();
   const sim::SimTime now = rt_->simulator().now();
-  if (++it->second.retries > p.client_max_retries ||
-      (it->second.deadline != 0 && now >= it->second.deadline)) {
+  if (++o->retries > p.client_max_retries ||
+      (o->deadline != 0 && now >= o->deadline)) {
     // Budget exhausted: surface unavailability instead of retrying forever.
     ++timeouts_;
     rt_->simulator().hub().metrics().Inc("client.unavailable", 1, node_);
     rt_->simulator().hub().recorder().Record(obs::RecKind::kClient,
                                              "retry_budget_exhausted", node_,
-                                             OpId(req_id),
-                                             it->second.retries);
-    auto fail = it->second.fail;
-    fail();  // marks done + erases via the Complete wrapper
+                                             OpId(req_id), o->retries);
+    auto fail = o->fail;
+    fail();  // marks the request done via the Complete wrapper
     return;
   }
   // Re-learn the configuration and multicast: only the responsible node
   // will answer (§5.5).
   rt_->simulator().hub().recorder().Record(obs::RecKind::kClient,
                                            "client_retry", node_,
-                                           OpId(req_id), it->second.retries);
+                                           OpId(req_id), o->retries);
   RefreshConfig();
-  auto send = it->second.send;
+  auto send = o->send;
   cpu().Execute(p.client_base_ns +
                     rt_->membership().num_members() * p.client_post_ns,
                 [send] { send(true); });
-  rt_->simulator().After(NextRetryWait(&it->second),
+  rt_->simulator().After(NextRetryWait(o),
                          [this, req_id] { CheckTimeout(req_id); });
 }
 
@@ -167,7 +192,7 @@ void RingClient::Put(const Key& key, std::shared_ptr<Buffer> value,
                      MemgestId memgest, PutCallback cb) {
   const auto& p = rt_->simulator().params();
   const uint32_t len = value ? static_cast<uint32_t>(value->size()) : 0;
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   NotifyObserver(key, obs::OpKind::kPut, memgest, len);
   const uint64_t issue_cost =
       p.client_base_ns + p.client_post_ns +
@@ -178,22 +203,26 @@ void RingClient::Put(const Key& key, std::shared_ptr<Buffer> value,
     auto reply = Complete(req_id, start, "put", obs::OpKind::kPut, memgest,
                           cb);
     const uint64_t bytes = kHeaderBytes + key.size() + len;
-    auto send = [this, key, value, memgest, req_id, reply,
+    auto send = [this, key, hash = HashKey(key), value, memgest, req_id, reply,
                  bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       PutRequest r;
       r.key = key;
+      r.key_hash = hash;
       r.value = value;
       r.memgest = memgest;
       r.client = node_;
       r.req_id = req_id;
+      r.floor = floor_;
       r.op_id = OpId(req_id);
       r.retry = broadcast;
       r.reply = reply;
       if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
+        auto* peer = rt_->server(CoordinatorFor(hash));
         rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandlePut(r); });
+                           [peer, r = std::move(r)]() mutable {
+                             peer->HandlePut(std::move(r));
+                           });
         return;
       }
       for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
@@ -214,7 +243,7 @@ void RingClient::Put(const Key& key, std::shared_ptr<Buffer> value,
 
 void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   NotifyObserver(key, obs::OpKind::kGet, kDefaultMemgest, 0);
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, key, mode, cb = std::move(cb), req_id] {
@@ -222,10 +251,12 @@ void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
     auto reply = Complete(req_id, start, "get", obs::OpKind::kGet,
                           obs::kNoMemgest, cb);
     const uint64_t bytes = kHeaderBytes + key.size();
-    auto send = [this, key, mode, req_id, reply, bytes](bool broadcast) {
+    auto send = [this, key, hash = HashKey(key), mode, req_id, reply,
+                 bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       GetRequest r;
       r.key = key;
+      r.key_hash = hash;
       r.client = node_;
       r.req_id = req_id;
       r.op_id = OpId(req_id);
@@ -233,9 +264,11 @@ void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
       r.mode = mode;
       r.reply = reply;
       if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
+        auto* peer = rt_->server(CoordinatorFor(hash));
         rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandleGet(r); });
+                           [peer, r = std::move(r)]() mutable {
+                             peer->HandleGet(std::move(r));
+                           });
         return;
       }
       for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
@@ -257,27 +290,32 @@ void RingClient::Get(const Key& key, ReadMode mode, GetCallback cb) {
 
 void RingClient::Move(const Key& key, MemgestId dst, PutCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   NotifyObserver(key, obs::OpKind::kMove, dst, 0);
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, key, dst, cb = std::move(cb), req_id] {
     const sim::SimTime start = rt_->simulator().now();
     auto reply = Complete(req_id, start, "move", obs::OpKind::kMove, dst, cb);
     const uint64_t bytes = kHeaderBytes + key.size();
-    auto send = [this, key, dst, req_id, reply, bytes](bool broadcast) {
+    auto send = [this, key, hash = HashKey(key), dst, req_id, reply,
+                 bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       MoveRequest r;
       r.key = key;
+      r.key_hash = hash;
       r.dst = dst;
       r.client = node_;
       r.req_id = req_id;
+      r.floor = floor_;
       r.op_id = OpId(req_id);
       r.retry = broadcast;
       r.reply = reply;
       if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
+        auto* peer = rt_->server(CoordinatorFor(hash));
         rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandleMove(r); });
+                           [peer, r = std::move(r)]() mutable {
+                             peer->HandleMove(std::move(r));
+                           });
         return;
       }
       for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
@@ -298,7 +336,7 @@ void RingClient::Move(const Key& key, MemgestId dst, PutCallback cb) {
 
 void RingClient::Delete(const Key& key, StatusCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   NotifyObserver(key, obs::OpKind::kDelete, kDefaultMemgest, 0);
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, key, cb = std::move(cb), req_id] {
@@ -306,19 +344,24 @@ void RingClient::Delete(const Key& key, StatusCallback cb) {
     auto reply = Complete(req_id, start, "delete", obs::OpKind::kDelete,
                           obs::kNoMemgest, cb);
     const uint64_t bytes = kHeaderBytes + key.size();
-    auto send = [this, key, req_id, reply, bytes](bool broadcast) {
+    auto send = [this, key, hash = HashKey(key), req_id, reply,
+                 bytes](bool broadcast) {
       obs::ScopedOp scope(rt_->simulator().hub(), OpId(req_id));
       DeleteRequest r;
       r.key = key;
+      r.key_hash = hash;
       r.client = node_;
       r.req_id = req_id;
+      r.floor = floor_;
       r.op_id = OpId(req_id);
       r.retry = broadcast;
       r.reply = reply;
       if (!broadcast) {
-        auto* peer = rt_->server(CoordinatorFor(key));
+        auto* peer = rt_->server(CoordinatorFor(hash));
         rt_->fabric().Send(node_, peer->id(), bytes,
-                           [peer, r] { peer->HandleDelete(r); });
+                           [peer, r = std::move(r)]() mutable {
+                             peer->HandleDelete(std::move(r));
+                           });
         return;
       }
       for (net::NodeId n = 0; n < rt_->membership().num_members(); ++n) {
@@ -340,7 +383,7 @@ void RingClient::Delete(const Key& key, StatusCallback cb) {
 void RingClient::CreateMemgest(const MemgestDescriptor& desc,
                                AdminCallback cb) {
   const auto& p = rt_->simulator().params();
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, desc, cb = std::move(cb), req_id] {
     const sim::SimTime start = rt_->simulator().now();
@@ -366,7 +409,7 @@ void RingClient::CreateMemgest(const MemgestDescriptor& desc,
 }
 
 void RingClient::DeleteMemgest(MemgestId id, AdminCallback cb) {
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   const auto& p = rt_->simulator().params();
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, id, cb = std::move(cb), req_id] {
@@ -392,7 +435,7 @@ void RingClient::DeleteMemgest(MemgestId id, AdminCallback cb) {
 }
 
 void RingClient::SetDefaultMemgest(MemgestId id, AdminCallback cb) {
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   const auto& p = rt_->simulator().params();
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, id, cb = std::move(cb), req_id] {
@@ -423,7 +466,7 @@ namespace ring {
 
 void RingClient::GetMemgestDescriptor(
     MemgestId id, std::function<void(Result<MemgestDescriptor>)> cb) {
-  const uint64_t req_id = next_req_++;
+  const uint64_t req_id = NewRequest();
   const auto& p = rt_->simulator().params();
   cpu().Execute(p.client_base_ns + p.client_post_ns,
                 [this, id, cb = std::move(cb), req_id] {

@@ -3,14 +3,15 @@
 // Clients map keys to coordinators with `h(key) mod s` and talk to them
 // directly over the fabric. When a request times out (coordinator failure),
 // the client re-sends it to every KVS node — the paper's multicast — and
-// only the responsible node answers (§5.5).
+// only the responsible node answers (§5.5). The key is hashed once per
+// operation; every request carries the hash and the client's floor (its
+// lowest incomplete req_id, see server.h).
 #ifndef RING_SRC_RING_CLIENT_H_
 #define RING_SRC_RING_CLIENT_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -68,7 +69,7 @@ class RingClient {
   uint64_t timeouts() const { return timeouts_; }
   uint64_t hedges() const { return hedges_; }
   // Requests in flight (issued, not yet answered).
-  size_t outstanding() const { return outstanding_.size(); }
+  size_t outstanding() const { return in_flight_; }
   // Re-reads the cluster configuration (normally done lazily on retry;
   // benches call it after a controlled failover so measurements exclude the
   // stale-routing discovery timeout).
@@ -84,6 +85,7 @@ class RingClient {
 
  private:
   struct Outstanding {
+    bool launched = false;
     bool done = false;
     uint32_t retries = 0;
     // Absolute give-up time (0: bounded by the retry count only).
@@ -95,9 +97,14 @@ class RingClient {
   };
 
   sim::CpuWorker& cpu() { return rt_->fabric().cpu(node_); }
-  uint32_t ShardFor(const Key& key) const;
-  net::NodeId CoordinatorFor(const Key& key) const;
+  // Coordinator of the key with HashKey `hash` under the client's config.
+  net::NodeId CoordinatorFor(uint64_t hash) const;
   void RefreshConfig();
+  // Assigns the next req_id and opens its window slot (incomplete from now
+  // on, so it holds the floor down until it completes).
+  uint64_t NewRequest();
+  // The window slot of an incomplete request, nullptr once it completed.
+  Outstanding* Find(uint64_t req_id);
   // Registers the request, sends it, and arms the retry timer. Hedgeable
   // requests (side-effect-free gets) may additionally multicast early when
   // client_hedge_delay_ns is set.
@@ -127,10 +134,14 @@ class RingClient {
   net::NodeId node_;
   AccessObserver access_observer_;
   consensus::ClusterConfig config_;
+  // Request window: req_ids are dense and issued in order, so the
+  // incomplete ones, [floor_, next_req_), live in a power-of-two ring
+  // indexed by req_id. floor_ is the lowest incomplete req_id; it advances
+  // past completed requests.
   uint64_t next_req_ = 1;
-  // Keyed find/emplace/erase only (never iterated): deterministic despite
-  // the unordered layout, and O(1) on the per-request hot path.
-  std::unordered_map<uint64_t, Outstanding> outstanding_;
+  uint64_t floor_ = 1;
+  std::vector<Outstanding> window_;
+  size_t in_flight_ = 0;
   uint64_t completed_ = 0;
   uint64_t timeouts_ = 0;
   uint64_t hedges_ = 0;

@@ -37,10 +37,25 @@ uint64_t ScopeOf(MemgestId memgest, uint32_t sub) {
 uint64_t ParityMetaScope(MemgestId memgest, uint32_t shard) {
   return ScopeOf(memgest, 0x80000000u | shard);
 }
-// Word regions (version/commit/ack) use a mixed (key, version) hash as the
+// Word regions (version/commit/ack) use a mixed (key hash, version) as the
 // byte address.
-uint64_t EntryWord(const Key& key, Version version) {
-  return HashKey(key) ^ (version * 0x9E3779B97F4A7C15ull);
+uint64_t EntryWord(uint64_t key_hash, Version version) {
+  return key_hash ^ (version * 0x9E3779B97F4A7C15ull);
+}
+
+// Hand-built requests may leave the hash unset; client-issued ones carry it.
+uint64_t CarriedHash(const Key& key, uint64_t key_hash) {
+  return key_hash != 0 ? key_hash : HashKey(key);
+}
+
+// Delivers a recorded mutation outcome through a client reply callback.
+void InvokeReply(const std::function<void(Status, Version)>& reply,
+                 const Status& status, Version version) {
+  reply(status, version);
+}
+void InvokeReply(const std::function<void(Status)>& reply,
+                 const Status& status, Version /*version*/) {
+  reply(status);
 }
 
 }  // namespace
@@ -84,6 +99,32 @@ void RingServer::ParityStore::EnsureSize(uint64_t size) {
   if (mem.size() < size) {
     mem.resize(size, 0);
   }
+}
+
+bool RingServer::SeqWindow::MarkOnce(uint64_t seq) {
+  if (seq < base) {
+    return false;
+  }
+  if (seq >= base + kWindow) {
+    // Slide forward so `seq` is the newest tracked sequence, clearing the
+    // bits of the sequences that fall out of the window.
+    const uint64_t new_base = seq - kWindow + 1;
+    if (new_base - base >= kWindow) {
+      bits.fill(0);
+    } else {
+      for (uint64_t s = base; s < new_base; ++s) {
+        bits[(s % kWindow) / 64] &= ~(1ull << (s % 64));
+      }
+    }
+    base = new_base;
+  }
+  uint64_t& word = bits[(seq % kWindow) / 64];
+  const uint64_t bit = 1ull << (seq % 64);
+  if ((word & bit) != 0) {
+    return false;
+  }
+  word |= bit;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -145,13 +186,14 @@ std::optional<consensus::Placement> RingServer::PlacementFor(
 }
 
 MetaEntry* RingServer::FindEntry(const MemgestInfo& info, const Key& key,
-                                 Version version, uint32_t* shard_out,
-                                 uint32_t* geom_out) {
+                                 uint64_t hash, Version version,
+                                 uint32_t* shard_out, uint32_t* geom_out) {
   MemgestState& state = StateOf(info);
-  const uint32_t cur_shard = KeyShard(key, config_.num_shards());
+  const uint32_t cur_shard = ShardOfHash(hash, config_.num_shards());
   if (auto sit = state.stores.find(GeomKey(config_.s, cur_shard));
       sit != state.stores.end()) {
-    if (MetaEntry* e = sit->second.meta.Find(key, version); e != nullptr) {
+    if (MetaEntry* e = sit->second.meta.Find(hash, key, version);
+        e != nullptr) {
       if (shard_out != nullptr) {
         *shard_out = cur_shard;
       }
@@ -163,10 +205,11 @@ MetaEntry* RingServer::FindEntry(const MemgestInfo& info, const Key& key,
   }
   if (config_.rebalancing()) {
     const uint32_t prev_shard =
-        KeyShard(key, config_.groups * config_.prev_s);
+        ShardOfHash(hash, config_.groups * config_.prev_s);
     if (auto sit = state.stores.find(GeomKey(config_.prev_s, prev_shard));
         sit != state.stores.end()) {
-      if (MetaEntry* e = sit->second.meta.Find(key, version); e != nullptr) {
+      if (MetaEntry* e = sit->second.meta.Find(hash, key, version);
+          e != nullptr) {
         if (shard_out != nullptr) {
           *shard_out = prev_shard;
         }
@@ -180,9 +223,10 @@ MetaEntry* RingServer::FindEntry(const MemgestInfo& info, const Key& key,
   return nullptr;
 }
 
-RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
+RingServer::RouteAction RingServer::RouteKey(const Key& key, uint64_t hash,
+                                             bool forwarded) {
   RouteAction act;  // defaults to kDrop
-  const uint32_t cur_shard = KeyShard(key, config_.num_shards());
+  const uint32_t cur_shard = ShardOfHash(hash, config_.num_shards());
   if (!config_.rebalancing()) {
     // Static cluster: the plain coordinator check, zero extra work.
     if (Coordinates(cur_shard)) {
@@ -193,7 +237,7 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
     return act;
   }
   const consensus::Placement prev = config_.Previous();
-  const uint32_t prev_shard = KeyShard(key, prev.num_shards());
+  const uint32_t prev_shard = ShardOfHash(hash, prev.num_shards());
   const net::NodeId old_owner = prev.CoordinatorOfShard(prev_shard);
   const net::NodeId new_owner = config_.CoordinatorOfShard(cur_shard);
   if (old_owner == new_owner) {
@@ -210,7 +254,7 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
     // The new owner serves only keys already installed here; everything else
     // still lives with the old owner. One forwarding hop bridges clients
     // with a fresher config than the key's migration state.
-    if (volatile_index_.Highest(key).has_value()) {
+    if (volatile_index_.Highest(hash, key).has_value()) {
       act.kind = RouteAction::Kind::kServe;
       act.shard = cur_shard;
       act.geom_s = config_.s;
@@ -229,11 +273,11 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
     // moment the marker is written every op re-routes (and retries until
     // the new owner has the install).
     bool handed_over = false;
-    if (const auto ref = volatile_index_.Highest(key); ref.has_value()) {
+    if (const auto ref = volatile_index_.Highest(hash, key); ref.has_value()) {
       if (const MemgestInfo* info = rt_->registry().Get(ref->memgest);
           info != nullptr) {
         const MetaEntry* e =
-            FindEntry(*info, key, ref->version, nullptr, nullptr);
+            FindEntry(*info, key, hash, ref->version, nullptr, nullptr);
         handed_over = e != nullptr && e->moved;
       }
     }
@@ -252,8 +296,8 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, bool forwarded) {
   return act;
 }
 
-uint32_t RingServer::HomeShardForKey(const Key& key) {
-  return cpu().ShardForHash(KeyShard(key, config_.num_shards()));
+uint32_t RingServer::HomeShardForHash(uint64_t hash) {
+  return cpu().ShardForHash(ShardOfHash(hash, config_.num_shards()));
 }
 
 void RingServer::ReplyToClient(net::NodeId client, uint64_t bytes,
@@ -271,39 +315,110 @@ void RingServer::SendToNode(net::NodeId node, uint64_t bytes, sim::Task fn) {
   rt_->fabric().Send(id_, node, bytes, std::move(fn));
 }
 
-bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id) {
-  const auto id = std::make_pair(client, req_id);
-  auto it = client_ops_.find(id);
-  if (it != client_ops_.end()) {
-    if (it->second) {
+RingServer::ClientOps& RingServer::ClientOpsOf(net::NodeId client) {
+  if (client >= client_ops_.size()) {
+    client_ops_.resize(client + 1);
+  }
+  return client_ops_[client];
+}
+
+std::vector<RingServer::ClientOpRecord>::iterator RingServer::ClientOps::Seek(
+    uint64_t req_id) {
+  return std::lower_bound(
+      records.begin() + static_cast<long>(head), records.end(), req_id,
+      [](const ClientOpRecord& r, uint64_t id) { return r.req_id < id; });
+}
+
+RingServer::ClientOpRecord* RingServer::FindClientOp(net::NodeId client,
+                                                     uint64_t req_id) {
+  if (client >= client_ops_.size()) {
+    return nullptr;
+  }
+  ClientOps& ops = client_ops_[client];
+  const auto it = ops.Seek(req_id);
+  return it != ops.records.end() && it->req_id == req_id ? &*it : nullptr;
+}
+
+template <typename Reply>
+bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id,
+                               uint64_t floor, const Reply& reply) {
+  ClientOps& ops = ClientOpsOf(client);
+  if (floor > ops.floor) {
+    // The client finished everything below `floor`: no retry of those ops
+    // can follow, so their records are dead.
+    ops.floor = floor;
+    while (ops.head < ops.records.size() &&
+           ops.records[ops.head].req_id < floor) {
+      ++ops.head;
+    }
+  }
+  if (req_id < ops.floor) {
+    // A stale duplicate (e.g. a delayed wire copy) of a completed op.
+    ++counters_.stale_requests;
+    hub().metrics().Inc("server.stale_requests", 1, id_);
+    return false;
+  }
+  if (ops.head > 0 && ops.head >= ops.records.size() - ops.head) {
+    // Compact once the dead prefix outgrows the live records: amortized
+    // O(1) per op, and the vector's capacity is reused.
+    ops.records.erase(ops.records.begin(),
+                      ops.records.begin() + static_cast<long>(ops.head));
+    ops.head = 0;
+  }
+  const auto it = ops.Seek(req_id);
+  if (it != ops.records.end() && it->req_id == req_id) {
+    if (it->done) {
       // Executed already but the reply was evidently lost: resend it.
       ++counters_.resent_replies;
       hub().metrics().Inc("server.resent_replies", 1, id_);
       hub().recorder().Record(obs::RecKind::kDedup, "resent_reply", id_,
                               hub().current_op(), client, req_id);
-      it->second();
+      SendOutcome(client, reply, it->status, it->version);
     }
     // Else still executing; the in-flight reply will cover this duplicate.
     return false;
   }
-  client_ops_.emplace(id, nullptr);
-  client_ops_order_.push_back(id);
-  while (client_ops_order_.size() > kClientOpWindow) {
-    client_ops_.erase(client_ops_order_.front());
-    client_ops_order_.pop_front();
+  ClientOpRecord record;
+  record.req_id = req_id;
+  ops.records.insert(it, std::move(record));
+  if (ops.records.size() - ops.head > kClientOpWindow) {
+    // The client never advanced its floor past this record: forget it, and
+    // raise the floor so a late duplicate is dropped, never re-executed.
+    ops.floor = ops.records[ops.head].req_id + 1;
+    ++ops.head;
+    ++counters_.dedup_evictions;
+    hub().metrics().Inc("server.dedup_evictions", 1, id_);
   }
   return true;
 }
 
+template <typename Reply>
 void RingServer::ReplyToClientOnce(net::NodeId client, uint64_t req_id,
-                                   uint64_t bytes, std::function<void()> fn) {
-  auto it = client_ops_.find(std::make_pair(client, req_id));
-  if (it != client_ops_.end()) {
-    it->second = [this, client, bytes, fn] {
-      ReplyToClient(client, bytes, fn);
-    };
+                                   const Reply& reply, Status status,
+                                   Version version) {
+  if (ClientOpRecord* record = FindClientOp(client, req_id);
+      record != nullptr) {
+    record->done = true;
+    record->status = status;
+    record->version = version;
   }
-  ReplyToClient(client, bytes, std::move(fn));
+  SendOutcome(client, reply, std::move(status), version);
+}
+
+template <typename Reply>
+void RingServer::SendOutcome(net::NodeId client, const Reply& reply,
+                             Status status, Version version) {
+  if (status.ok()) {
+    // The common case carries no status, so the task stays inline.
+    ReplyToClient(client, kReplyBytes, [reply, version] {
+      InvokeReply(reply, OkStatus(), version);
+    });
+    return;
+  }
+  ReplyToClient(client, kReplyBytes,
+                [reply, status = std::move(status), version] {
+                  InvokeReply(reply, status, version);
+                });
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +429,7 @@ void RingServer::HandlePut(PutRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
+  req.key_hash = CarriedHash(req.key, req.key_hash);
   const auto& p = rt_->simulator().params();
   const uint32_t len =
       req.value ? static_cast<uint32_t>(req.value->size()) : 0;
@@ -331,14 +447,14 @@ void RingServer::HandlePut(PutRequest req) {
     cost += (info->desc.r - 1) * p.post_send_ns;
   }
   const uint64_t op_id = req.op_id;
-  const uint32_t home = HomeShardForKey(req.key);
+  const uint32_t home = HomeShardForHash(req.key_hash);
   const sim::SimTime done = cpu().ExecuteOnShard(
       home, cost, [this, req = std::move(req), info]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;
     }
-    const RouteAction route = RouteKey(req.key, req.forwarded);
+    const RouteAction route = RouteKey(req.key, req.key_hash, req.forwarded);
     if (route.kind == RouteAction::Kind::kForward) {
       ++counters_.forwards;
       hub().metrics().Inc("server.forwards", 1, id_);
@@ -358,27 +474,25 @@ void RingServer::HandlePut(PutRequest req) {
       }
       return;
     }
-    if (!ClaimClientOp(req.client, req.req_id)) {
+    if (!ClaimClientOp(req.client, req.req_id, req.floor, req.reply)) {
       return;  // duplicate: executed (reply resent) or still in flight
     }
     if (info == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(InvalidArgumentError("no such memgest"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id, req.reply,
+                        InvalidArgumentError("no such memgest"));
       return;
     }
     ++counters_.puts;
     hub().metrics().Inc("server.puts", 1, id_, info->id, obs::OpKind::kPut);
-    const Version version = volatile_index_.NextVersion(req.key);
-    StartWrite(*info, route.shard, req.key, version, req.value, false,
-               [this, client = req.client, req_id = req.req_id,
-                reply = req.reply, version, op_id = req.op_id](Status s) {
-                 obs::ScopedOp reply_scope(hub(), op_id);
-                 ReplyToClientOnce(client, req_id, kReplyBytes,
-                                   [reply, s, version] { reply(s, version); });
-               },
-               route.geom_s);
+    const Version version = volatile_index_.NextVersion(req.key_hash, req.key);
+    auto on_commit = [this, client = req.client, req_id = req.req_id,
+                      reply = std::move(req.reply), version,
+                      op_id = req.op_id](Status s) {
+      obs::ScopedOp reply_scope(hub(), op_id);
+      ReplyToClientOnce(client, req_id, reply, std::move(s), version);
+    };
+    StartWrite(*info, route.shard, req.key, req.key_hash, version, req.value,
+               false, std::move(on_commit), route.geom_s);
   });
   // The GF delta work is the tail of the put's CPU charge: mark it so the
   // breakdown can split coding out of plain CPU time.
@@ -389,7 +503,7 @@ void RingServer::HandlePut(PutRequest req) {
 }
 
 void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
-                            const Key& key, Version version,
+                            const Key& key, uint64_t hash, Version version,
                             std::shared_ptr<Buffer> value, bool tombstone,
                             std::function<void(Status)> on_commit,
                             uint32_t geom_s, bool moved) {
@@ -428,24 +542,26 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
   entry.data_present = true;
   entry.geom_s = geom_s;
   entry.moved = moved;
+  entry.write_seq = store.write_seq;
   NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-             ScopeOf(info.id, shard), HashKey(key), HashKey(key) + 1,
-             "start_write/meta");
-  MetaEntry& e = store.meta.Insert(key, std::move(entry));
+             ScopeOf(info.id, shard), hash, hash + 1, "start_write/meta");
+  MetaEntry& e = store.meta.Insert(hash, key, std::move(entry));
   NoteAccess(RegionKind::kVersionWord, AccessKind::kWrite, kVersionScope,
-             HashKey(key), HashKey(key) + 1, "start_write/version");
-  volatile_index_.Add(key, version, info.id);
+             hash, hash + 1, "start_write/version");
+  volatile_index_.Add(hash, key, version, info.id);
   e.indexed = true;
-  e.waiters.push_back([on_commit] { on_commit(OkStatus()); });
+  e.waiters.push_back(
+      [on_commit = std::move(on_commit)] { on_commit(OkStatus()); });
   const uint64_t op_id = hub().current_op();
   e.trace_op = op_id;
   hub().tracer().Record("write_ahead", obs::Category::kOther, id_, op_id,
                         rt_->simulator().now(), rt_->simulator().now());
+  const bool retransmits = rt_->simulator().params().write_retransmit_ns != 0;
 
   if (info.desc.kind == SchemeKind::kReplicated) {
     if (info.desc.unreliable()) {
       // Rep(1): committed immediately — no replication.
-      CommitEntry(info, shard, key, version, geom_s);
+      CommitEntry(info, shard, key, hash, version, geom_s);
       return;
     }
     const auto slots =
@@ -457,90 +573,97 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
                         ? static_cast<uint32_t>(slots.size())
                         : info.desc.r / 2;
     e.trace_quorum_start = rt_->simulator().now();
-    for (uint32_t ordinal = 0; ordinal < slots.size(); ++ordinal) {
-      ReplicaAppend msg;
-      msg.memgest = info.id;
-      msg.shard = shard;
-      msg.key = key;
-      msg.version = version;
-      msg.addr = addr;
-      msg.len = len;
-      msg.region_len = region_len;
-      msg.tombstone = tombstone;
-      msg.bytes = value;
-      msg.ordinal = ordinal;
-      msg.from = id_;
-      msg.seq = store.write_seq;
-      msg.op_id = op_id;
-      msg.geom_s = geom_s;
-      msg.moved = moved;
-      // Re-resolves the slot's node under the write's shape on every
-      // (re)send, so a retransmission after a promotion reaches the new
-      // slot owner — and dies if the shape was retired (epoch fencing).
-      auto send = [this, geom = geom_s, slot = slots[ordinal],
-                   bytes = ReqBytes(key.size(), len), msg = std::move(msg)] {
-        const auto placement = PlacementFor(geom);
-        if (!placement.has_value()) {
-          return;
-        }
-        const net::NodeId target = placement->NodeOfSlot(slot);
-        auto* peer = rt_->server(target);
-        SendToNode(target, bytes,
-                   [peer, msg] { peer->HandleReplicaAppend(msg); });
-      };
-      send();
-      e.backup_resend.push_back(std::move(send));
+    if (retransmits) {
+      e.resend_bytes = value;
     }
-    ScheduleWriteRetransmit(info.id, shard, geom_s, key, version);
+    for (uint32_t ordinal = 0; ordinal < slots.size(); ++ordinal) {
+      SendBackup(info, shard, key, hash, e, ordinal, slots[ordinal], value);
+    }
+    ScheduleWriteRetransmit(info.id, shard, geom_s, key, hash, version);
     return;
   }
 
   // Erasure-coded: every parity node must apply the delta before commit.
-  const auto& p = rt_->simulator().params();
   const uint32_t group = shard / geom_s;
   const auto parity_slots =
       MemgestRegistry::ParitySlotsFor(info, group, geom_s, config_.d);
   e.acks_pending = (1u << parity_slots.size()) - 1;
   e.acks_needed = static_cast<uint32_t>(parity_slots.size());
   if (parity_slots.empty()) {
-    CommitEntry(info, shard, key, version, geom_s);
+    CommitEntry(info, shard, key, hash, version, geom_s);
     return;
   }
   e.trace_quorum_start = rt_->simulator().now();
+  if (retransmits) {
+    e.resend_bytes = delta;
+  }
   for (uint32_t j = 0; j < parity_slots.size(); ++j) {
-    ParityUpdate msg;
+    SendBackup(info, shard, key, hash, e, j, parity_slots[j], delta);
+  }
+  ScheduleWriteRetransmit(info.id, shard, geom_s, key, hash, version);
+}
+
+void RingServer::SendBackup(const MemgestInfo& info, uint32_t shard,
+                            const Key& key, uint64_t hash,
+                            const MetaEntry& entry, uint32_t ordinal,
+                            uint32_t slot,
+                            const std::shared_ptr<Buffer>& bytes) {
+  // Re-resolves the slot's node under the write's shape on every (re)send,
+  // so a retransmission after a promotion reaches the new slot owner — and
+  // dies if the shape was retired (epoch fencing).
+  const auto placement = PlacementFor(entry.geom_s);
+  if (!placement.has_value()) {
+    return;
+  }
+  const net::NodeId target = placement->NodeOfSlot(slot);
+  auto* peer = rt_->server(target);
+  const uint64_t wire = ReqBytes(key.size(), entry.len);
+  if (info.desc.kind == SchemeKind::kReplicated) {
+    ReplicaAppend msg;
     msg.memgest = info.id;
     msg.shard = shard;
     msg.key = key;
-    msg.version = version;
-    msg.addr = addr;
-    msg.len = len;
-    msg.region_len = region_len;
-    msg.tombstone = tombstone;
-    msg.delta = delta;
-    msg.parity_index = j;
+    msg.key_hash = hash;
+    msg.version = entry.version;
+    msg.addr = entry.addr;
+    msg.len = entry.len;
+    msg.region_len = entry.region_len;
+    msg.tombstone = entry.tombstone;
+    msg.bytes = bytes;
+    msg.ordinal = ordinal;
     msg.from = id_;
-    msg.seq = store.write_seq;
-    msg.op_id = op_id;
-    msg.geom_s = geom_s;
-    msg.moved = moved;
-    // Parity updates carry replicated metadata on top of the payload (§6.1).
-    auto send = [this, geom = geom_s, slot = parity_slots[j],
-                 bytes = ReqBytes(key.size(), len) +
-                         p.parity_update_metadata_bytes,
-                 msg = std::move(msg)] {
-      const auto placement = PlacementFor(geom);
-      if (!placement.has_value()) {
-        return;
-      }
-      const net::NodeId target = placement->NodeOfSlot(slot);
-      auto* peer = rt_->server(target);
-      SendToNode(target, bytes, [peer, msg] { peer->HandleParityUpdate(msg); });
-    };
-    send();
-    e.backup_resend.push_back(std::move(send));
+    msg.seq = entry.write_seq;
+    msg.op_id = entry.trace_op;
+    msg.geom_s = entry.geom_s;
+    msg.moved = entry.moved;
+    SendToNode(target, wire, [peer, msg = std::move(msg)]() mutable {
+      peer->HandleReplicaAppend(std::move(msg));
+    });
+    return;
   }
-  ScheduleWriteRetransmit(info.id, shard, geom_s, key, version);
+  ParityUpdate msg;
+  msg.memgest = info.id;
+  msg.shard = shard;
+  msg.key = key;
+  msg.key_hash = hash;
+  msg.version = entry.version;
+  msg.addr = entry.addr;
+  msg.len = entry.len;
+  msg.region_len = entry.region_len;
+  msg.tombstone = entry.tombstone;
+  msg.delta = bytes;
+  msg.parity_index = ordinal;
+  msg.from = id_;
+  msg.seq = entry.write_seq;
+  msg.op_id = entry.trace_op;
+  msg.geom_s = entry.geom_s;
+  msg.moved = entry.moved;
+  // Parity updates carry replicated metadata on top of the payload (§6.1).
+  SendToNode(target,
+             wire + rt_->simulator().params().parity_update_metadata_bytes,
+             [peer, msg = std::move(msg)]() mutable {
+               peer->HandleParityUpdate(std::move(msg));
+             });
 }
 
 // Periodic per-write repair: while the quorum round is un-acked, resend the
@@ -550,12 +673,13 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
 // pending bits to a configuration change.
 void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
                                          uint32_t geom_s, const Key& key,
-                                         Version version) {
+                                         uint64_t hash, Version version) {
   const uint64_t period = rt_->simulator().params().write_retransmit_ns;
   if (period == 0 || rt_->options().test_bugs.no_write_retransmit) {
     return;  // test_bugs: PR 5 bug 1 — a lost append wedges the write
   }
-  rt_->simulator().After(period, [this, gid, shard, geom_s, key, version] {
+  rt_->simulator().After(period, [this, gid, shard, geom_s, key, hash,
+                                  version] {
     if (!IsAlive() || is_spare_) {
       return;
     }
@@ -567,21 +691,27 @@ void RingServer::ScheduleWriteRetransmit(MemgestId gid, uint32_t shard,
       return;  // shape retired: the write's fate was decided by the purge
     }
     MetaEntry* entry =
-        StoreOf(StateOf(*info), shard, geom_s).meta.Find(key, version);
+        StoreOf(StateOf(*info), shard, geom_s).meta.Find(hash, key, version);
     if (entry == nullptr || entry->committed || entry->acks_pending == 0) {
       return;
     }
-    for (uint32_t ordinal = 0; ordinal < entry->backup_resend.size();
-         ++ordinal) {
+    const auto slots =
+        info->desc.kind == SchemeKind::kReplicated
+            ? MemgestRegistry::ReplicaSlotsFor(*info, shard, geom_s,
+                                               config_.d)
+            : MemgestRegistry::ParitySlotsFor(*info, shard / geom_s, geom_s,
+                                              config_.d);
+    for (uint32_t ordinal = 0; ordinal < slots.size(); ++ordinal) {
       if ((entry->acks_pending & (1u << ordinal)) != 0) {
         ++counters_.retransmits;
         hub().metrics().Inc("server.retransmits", 1, id_, gid);
         hub().recorder().Record(obs::RecKind::kRetransmit, "write_retransmit",
                                 id_, entry->trace_op, gid, ordinal);
-        entry->backup_resend[ordinal]();
+        SendBackup(*info, shard, key, hash, *entry, ordinal, slots[ordinal],
+                   entry->resend_bytes);
       }
     }
-    ScheduleWriteRetransmit(gid, shard, geom_s, key, version);
+    ScheduleWriteRetransmit(gid, shard, geom_s, key, hash, version);
   });
 }
 
@@ -618,45 +748,42 @@ void RingServer::HandleReplicaAppend(ReplicaAppend msg) {
     }
     MemgestState& state = StateOf(*info);
     ShardStore& store = StoreOf(state, msg.shard, geom);
-    if (!store.replica_seqs.MarkOnce(msg.seq)) {
+    const bool fresh = store.replica_seqs.MarkOnce(msg.seq);
+    if (fresh) {
+      ++counters_.replica_appends;
+      hub().metrics().Inc("server.replica_appends", 1, id_, info->id);
+      if (msg.len > 0 && msg.bytes) {
+        NoteAccess(RegionKind::kHeap, AccessKind::kWrite,
+                   ScopeOf(msg.memgest, msg.shard), msg.addr,
+                   msg.addr + msg.len, "replica_append/heap");
+        store.Write(msg.addr, *msg.bytes);
+      }
+      ++state.log_len;
+      MetaEntry entry;
+      entry.version = msg.version;
+      entry.addr = msg.addr;
+      entry.len = msg.len;
+      entry.region_len = msg.region_len;
+      entry.tombstone = msg.tombstone;
+      entry.committed = false;  // commit state tracked by the coordinator
+      entry.data_present = true;
+      entry.geom_s = geom;
+      entry.moved = msg.moved;
+      NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
+                 ScopeOf(msg.memgest, msg.shard), msg.key_hash,
+                 msg.key_hash + 1, "replica_append/meta");
+      store.meta.Insert(msg.key_hash, msg.key, std::move(entry));
+    } else {
       // Chaos duplicate: applied already. Re-ack — the first ack may have
       // been lost, and ApplyAck is idempotent on the coordinator.
       ++counters_.dup_backups;
-      Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.ordinal,
-              geom};
-      auto* peer = rt_->server(msg.from);
-      rt_->fabric().Write(id_, msg.from, kAckBytes,
-                          [peer, ack] { peer->ApplyAck(ack); }, nullptr);
-      return;
     }
-    ++counters_.replica_appends;
-    hub().metrics().Inc("server.replica_appends", 1, id_, info->id);
-    if (msg.len > 0 && msg.bytes) {
-      NoteAccess(RegionKind::kHeap, AccessKind::kWrite,
-                 ScopeOf(msg.memgest, msg.shard), msg.addr,
-                 msg.addr + msg.len, "replica_append/heap");
-      store.Write(msg.addr, *msg.bytes);
-    }
-    ++state.log_len;
-    MetaEntry entry;
-    entry.version = msg.version;
-    entry.addr = msg.addr;
-    entry.len = msg.len;
-    entry.region_len = msg.region_len;
-    entry.tombstone = msg.tombstone;
-    entry.committed = false;  // commit state tracked by the coordinator
-    entry.data_present = true;
-    entry.geom_s = geom;
-    entry.moved = msg.moved;
-    NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "replica_append/meta");
-    store.meta.Insert(msg.key, std::move(entry));
-
-    Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.ordinal, geom};
+    Ack ack{msg.memgest, msg.shard,   std::move(msg.key), msg.key_hash,
+            msg.version, msg.ordinal, geom};
     auto* peer = rt_->server(msg.from);
     rt_->fabric().Write(id_, msg.from, kAckBytes,
-                        [peer, ack] { peer->ApplyAck(ack); }, nullptr);
+                        [peer, ack = std::move(ack)] { peer->ApplyAck(ack); },
+                        nullptr);
   });
 }
 
@@ -707,11 +834,12 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
       // update must not apply twice; still re-ack in case the first ack
       // was lost.
       ++counters_.dup_backups;
-      Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.parity_index,
-              geom};
+      Ack ack{msg.memgest,      msg.shard, std::move(msg.key), msg.key_hash,
+              msg.version, msg.parity_index, geom};
       auto* peer = rt_->server(msg.from);
-      rt_->fabric().Write(id_, msg.from, kAckBytes,
-                          [peer, ack] { peer->ApplyAck(ack); }, nullptr);
+      rt_->fabric().Write(
+          id_, msg.from, kAckBytes,
+          [peer, ack = std::move(ack)] { peer->ApplyAck(ack); }, nullptr);
       return;
     }
     if (!parity.rebuilt) {
@@ -734,15 +862,17 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
     entry.geom_s = geom;
     entry.moved = msg.moved;
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "parity_update/meta");
-    parity.shard_meta[msg.shard].Insert(msg.key, std::move(entry));
+               ParityMetaScope(msg.memgest, msg.shard), msg.key_hash,
+               msg.key_hash + 1, "parity_update/meta");
+    parity.shard_meta[msg.shard].Insert(msg.key_hash, msg.key,
+                                        std::move(entry));
 
-    Ack ack{msg.memgest, msg.shard, msg.key, msg.version, msg.parity_index,
-            geom};
+    Ack ack{msg.memgest, msg.shard,        std::move(msg.key), msg.key_hash,
+            msg.version, msg.parity_index, geom};
     auto* peer = rt_->server(msg.from);
     rt_->fabric().Write(id_, msg.from, kAckBytes,
-                        [peer, ack] { peer->ApplyAck(ack); }, nullptr);
+                        [peer, ack = std::move(ack)] { peer->ApplyAck(ack); },
+                        nullptr);
   });
   // GF multiply-add of the delta into the parity buffer, the tail of the
   // parity node's CPU charge.
@@ -791,11 +921,9 @@ void RingServer::ApplyAck(const Ack& msg) {
   // The one-sided deposit lands in this node's completion region under the
   // issuer's clock; each (key, version, ordinal) gets its own word, so
   // concurrent acks from different redundancy nodes never conflict.
+  const uint64_t word = EntryWord(msg.key_hash, msg.version) + msg.ordinal;
   NoteAccess(RegionKind::kAckWord, AccessKind::kWrite,
-             ScopeOf(msg.memgest, msg.shard),
-             EntryWord(msg.key, msg.version) + msg.ordinal,
-             EntryWord(msg.key, msg.version) + msg.ordinal + 1,
-             "ack/deposit");
+             ScopeOf(msg.memgest, msg.shard), word, word + 1, "ack/deposit");
   // The coordinator only touches the payload after polling the completion
   // word: an acquire edge into this CPU's clock — the shard that homes the
   // key's writes (it polls its own completion ring).
@@ -809,9 +937,9 @@ void RingServer::ApplyAck(const Ack& msg) {
     MemgestState& state = StateOf(*info);
     ShardStore& store = StoreOf(state, msg.shard, msg.geom_s);
     NoteAccess(RegionKind::kMetadata, AccessKind::kRead,
-               ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "ack/meta");
-    MetaEntry* entry = store.meta.Find(msg.key, msg.version);
+               ScopeOf(msg.memgest, msg.shard), msg.key_hash,
+               msg.key_hash + 1, "ack/meta");
+    MetaEntry* entry = store.meta.Find(msg.key_hash, msg.key, msg.version);
     if (entry == nullptr || entry->committed) {
       return;  // already committed (late ack) or GC'd
     }
@@ -824,23 +952,24 @@ void RingServer::ApplyAck(const Ack& msg) {
       --entry->acks_needed;
     }
     if (entry->acks_needed == 0) {
-      CommitEntry(*info, msg.shard, msg.key, msg.version, msg.geom_s);
+      CommitEntry(*info, msg.shard, msg.key, msg.key_hash, msg.version,
+                  msg.geom_s);
     }
   }
 }
 
 void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
-                             const Key& key, Version version,
+                             const Key& key, uint64_t hash, Version version,
                              uint32_t geom_s) {
   MemgestState& state = StateOf(info);
   ShardStore& store = StoreOf(state, shard, geom_s);
-  MetaEntry* entry = store.meta.Find(key, version);
+  MetaEntry* entry = store.meta.Find(hash, key, version);
   if (entry == nullptr || entry->committed) {
     return;
   }
   NoteAccess(RegionKind::kCommitFlag, AccessKind::kWrite,
-             ScopeOf(info.id, shard), EntryWord(key, version),
-             EntryWord(key, version) + 1, "commit/flag");
+             ScopeOf(info.id, shard), EntryWord(hash, version),
+             EntryWord(hash, version) + 1, "commit/flag");
   entry->committed = true;
   ++counters_.commits;
   if (hub().tracing_enabled()) {
@@ -863,7 +992,7 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
     hub().recorder().Record(obs::RecKind::kPhase, "commit", id_,
                             entry->trace_op, info.id);
   }
-  entry->backup_resend.clear();
+  entry->resend_bytes.reset();
   const bool moved_marker = entry->moved;
   auto waiters = std::move(entry->waiters);
   entry->waiters.clear();
@@ -874,35 +1003,35 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
   // still has to deliver, and losing them before the new owner acknowledges
   // would lose the key everywhere if this node then crashed (§13).
   if (rt_->options().gc_old_versions && !moved_marker) {
-    GcOldVersions(key, version);
+    GcOldVersions(key, hash, version);
   }
   for (auto& waiter : waiters) {
     waiter();
   }
 }
 
-void RingServer::GcOldVersions(const Key& key, Version below) {
+void RingServer::GcOldVersions(const Key& key, uint64_t hash, Version below) {
   // §16 multiversion retention: keep the ν newest committed versions below
   // the new commit (Refs is descending, so the first ν survivors are the
   // newest) — the stock of versions ReadMode::kNonBlocking serves from.
   // ν == 0 collects everything, byte-identical to the seed.
   const uint32_t retain = rt_->options().multiversion_depth;
   uint32_t retained = 0;
-  for (const auto& ref : volatile_index_.Refs(key)) {
+  for (const auto& ref : volatile_index_.Refs(hash, key)) {
     if (ref.version >= below) {
       continue;
     }
     const MemgestInfo* info = rt_->registry().Get(ref.memgest);
     if (info == nullptr) {
-      volatile_index_.Remove(key, ref.version);
+      volatile_index_.Remove(hash, key, ref.version);
       continue;
     }
     // The superseded version may live under either live shape (§13): a key
     // that auto-migrated via a put carries its old versions in the previous
     // geometry's store until this GC collects them.
-    uint32_t shard = KeyShard(key, config_.num_shards());
+    uint32_t shard = ShardOfHash(hash, config_.num_shards());
     uint32_t geom = config_.s;
-    MetaEntry* entry = FindEntry(*info, key, ref.version, &shard, &geom);
+    MetaEntry* entry = FindEntry(*info, key, hash, ref.version, &shard, &geom);
     if (entry != nullptr && !entry->committed) {
       // A concurrent write still in its quorum round: reclaiming it here
       // would orphan its waiters and the client would never get a reply.
@@ -923,39 +1052,30 @@ void RingServer::GcOldVersions(const Key& key, Version below) {
         store.free_list.emplace_back(entry->addr, entry->region_len);
       }
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-                 ScopeOf(ref.memgest, shard), HashKey(key), HashKey(key) + 1,
-                 "gc/meta");
-      store.meta.Erase(key, ref.version);
+                 ScopeOf(ref.memgest, shard), hash, hash + 1, "gc/meta");
+      store.meta.Erase(hash, key, ref.version);
     }
     NoteAccess(RegionKind::kVersionWord, AccessKind::kWrite, kVersionScope,
-               HashKey(key), HashKey(key) + 1, "gc/version");
-    volatile_index_.Remove(key, ref.version);
+               hash, hash + 1, "gc/version");
+    volatile_index_.Remove(hash, key, ref.version);
     // Asynchronous metadata GC on redundancy nodes, under the placement of
     // the shape the version was written at.
     const auto placement = PlacementFor(geom);
     if (!placement.has_value()) {
       continue;
     }
-    GcNotice notice{ref.memgest, shard, key, ref.version, geom};
-    if (info->desc.kind == SchemeKind::kReplicated) {
-      for (const uint32_t slot : MemgestRegistry::ReplicaSlotsFor(
-               *info, shard, geom, config_.d)) {
-        const net::NodeId target = placement->NodeOfSlot(slot);
-        auto* peer = rt_->server(target);
-        rt_->fabric().Write(id_, target, kAckBytes,
-                            [peer, notice] { peer->HandleGcNotice(notice); },
-                            nullptr);
-      }
-    } else {
-      const uint32_t group = shard / geom;
-      for (const uint32_t slot : MemgestRegistry::ParitySlotsFor(
-               *info, group, geom, config_.d)) {
-        const net::NodeId target = placement->NodeOfSlot(slot);
-        auto* peer = rt_->server(target);
-        rt_->fabric().Write(id_, target, kAckBytes,
-                            [peer, notice] { peer->HandleGcNotice(notice); },
-                            nullptr);
-      }
+    GcNotice notice{ref.memgest, shard, key, hash, ref.version, geom};
+    const auto slots =
+        info->desc.kind == SchemeKind::kReplicated
+            ? MemgestRegistry::ReplicaSlotsFor(*info, shard, geom, config_.d)
+            : MemgestRegistry::ParitySlotsFor(*info, shard / geom, geom,
+                                              config_.d);
+    for (const uint32_t slot : slots) {
+      const net::NodeId target = placement->NodeOfSlot(slot);
+      auto* peer = rt_->server(target);
+      rt_->fabric().Write(id_, target, kAckBytes,
+                          [peer, notice] { peer->HandleGcNotice(notice); },
+                          nullptr);
     }
   }
 }
@@ -982,9 +1102,9 @@ void RingServer::HandleGcNotice(GcNotice msg) {
     analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
                                        cpu().ShardForHash(msg.shard));
     NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-               ScopeOf(msg.memgest, msg.shard), HashKey(msg.key),
-               HashKey(msg.key) + 1, "gc_notice/meta");
-    sit->second.meta.Erase(msg.key, msg.version);
+               ScopeOf(msg.memgest, msg.shard), msg.key_hash,
+               msg.key_hash + 1, "gc_notice/meta");
+    sit->second.meta.Erase(msg.key_hash, msg.key, msg.version);
   }
   const uint32_t group = msg.shard / geom;
   if (auto git = state.parity.find(GeomKey(geom, group));
@@ -994,9 +1114,9 @@ void RingServer::HandleGcNotice(GcNotice msg) {
       analysis::ScopedCpuAcquire acquire(rt_->simulator().race(), id_,
                                          cpu().ShardForHash(group));
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,
-                 ParityMetaScope(msg.memgest, msg.shard), HashKey(msg.key),
-                 HashKey(msg.key) + 1, "gc_notice/parity_meta");
-      pit->second.Erase(msg.key, msg.version);
+                 ParityMetaScope(msg.memgest, msg.shard), msg.key_hash,
+                 msg.key_hash + 1, "gc_notice/parity_meta");
+      pit->second.Erase(msg.key_hash, msg.key, msg.version);
     }
   }
 }
@@ -1009,9 +1129,8 @@ void RingServer::HandleGet(GetRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
-  // Hoisted: the capture below moves `req`, and argument evaluation order
-  // would otherwise let the move gut req.key before it is hashed.
-  const uint32_t home = HomeShardForKey(req.key);
+  req.key_hash = CarriedHash(req.key, req.key_hash);
+  const uint32_t home = HomeShardForHash(req.key_hash);
   cpu().ExecuteOnShard(home, rt_->simulator().params().server_base_ns,
                        [this, req = std::move(req)]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
@@ -1028,7 +1147,7 @@ void RingServer::HandleGet(GetRequest req) {
 }
 
 void RingServer::ResolveGet(GetRequest req) {
-  const RouteAction route = RouteKey(req.key, req.forwarded);
+  const RouteAction route = RouteKey(req.key, req.key_hash, req.forwarded);
   if (route.kind == RouteAction::Kind::kForward) {
     ++counters_.forwards;
     hub().metrics().Inc("server.forwards", 1, id_);
@@ -1053,8 +1172,8 @@ void RingServer::ResolveGet(GetRequest req) {
   hub().metrics().Inc("server.gets", 1, id_, obs::kNoMemgest,
                       obs::OpKind::kGet);
   NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-             HashKey(req.key), HashKey(req.key) + 1, "get/version");
-  const auto ref = volatile_index_.Highest(req.key);
+             req.key_hash, req.key_hash + 1, "get/version");
+  const auto ref = volatile_index_.Highest(req.key_hash, req.key);
   if (!ref.has_value()) {
     ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
       reply(GetResult{NotFoundError("no such key"), 0, nullptr});
@@ -1072,18 +1191,16 @@ void RingServer::ResolveGet(GetRequest req) {
   // from wherever it is, independent of the route's (current) shard id.
   uint32_t shard = route.shard;
   uint32_t geom = route.geom_s;
-  MetaEntry* entry = FindEntry(*info, req.key, ref->version, &shard, &geom);
+  MetaEntry* entry =
+      FindEntry(*info, req.key, req.key_hash, ref->version, &shard, &geom);
   NoteAccess(RegionKind::kMetadata, AccessKind::kRead,
-             ScopeOf(ref->memgest, shard), HashKey(req.key),
-             HashKey(req.key) + 1, "get/meta");
-  // Copy the key before handing `req` off: DeliverGet moves the request
-  // into closures, which would gut a reference into req.key.
-  const Key key = req.key;
-  DeliverGet(*info, shard, geom, key, entry, std::move(req));
+             ScopeOf(ref->memgest, shard), req.key_hash, req.key_hash + 1,
+             "get/meta");
+  DeliverGet(*info, shard, geom, entry, std::move(req));
 }
 
 void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
-                            uint32_t geom_s, const Key& key, MetaEntry* entry,
+                            uint32_t geom_s, MetaEntry* entry,
                             GetRequest req) {
   if (entry == nullptr) {
     ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
@@ -1103,9 +1220,10 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     });
     return;
   }
+  const uint64_t hash = req.key_hash;
   NoteAccess(RegionKind::kCommitFlag, AccessKind::kRead,
-             ScopeOf(info.id, shard), EntryWord(key, entry->version),
-             EntryWord(key, entry->version) + 1, "get/commit_flag");
+             ScopeOf(info.id, shard), EntryWord(hash, entry->version),
+             EntryWord(hash, entry->version) + 1, "get/commit_flag");
   if (!entry->committed) {
     if (req.mode == ReadMode::kNonBlocking) {
       // §16: a concurrent write (or a reconfiguration stalling its quorum)
@@ -1114,7 +1232,7 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
       // commit-time GC retains ν of them. The recursion below re-enters the
       // normal committed path, so tombstones ("deleted") and moved markers
       // (re-route) keep their exact strong-read semantics.
-      for (const auto& ref : volatile_index_.Refs(key)) {
+      for (const auto& ref : volatile_index_.Refs(hash, req.key)) {
         if (ref.version >= entry->version) {
           continue;
         }
@@ -1122,9 +1240,10 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
         if (vinfo == nullptr) {
           continue;
         }
-        uint32_t vshard = KeyShard(key, config_.num_shards());
+        uint32_t vshard = ShardOfHash(hash, config_.num_shards());
         uint32_t vgeom = config_.s;
-        MetaEntry* ve = FindEntry(*vinfo, key, ref.version, &vshard, &vgeom);
+        MetaEntry* ve =
+            FindEntry(*vinfo, req.key, hash, ref.version, &vshard, &vgeom);
         if (ve == nullptr || !ve->committed) {
           continue;
         }
@@ -1132,8 +1251,7 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
         hub().metrics().Inc("server.nonblocking_gets", 1, id_);
         hub().recorder().Record(obs::RecKind::kQuorum, "get_nonblocking", id_,
                                 hub().current_op(), ve->version);
-        const Key key_copy = key;  // `key` may alias req.key, moved below
-        DeliverGet(*vinfo, vshard, vgeom, key_copy, ve, std::move(req));
+        DeliverGet(*vinfo, vshard, vgeom, ve, std::move(req));
         return;
       }
       // No committed version exists yet (first write of the key in flight):
@@ -1147,24 +1265,28 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     const sim::SimTime defer_start = rt_->simulator().now();
     const Version version = entry->version;
     const MemgestInfo* info_ptr = &info;
-    entry->waiters.push_back([this, info_ptr, shard, geom_s, key, version,
+    entry->waiters.push_back([this, info_ptr, shard, geom_s, version,
                               defer_start, req = std::move(req)]() mutable {
       // The waiter fires from CommitEntry under the *writer's* op context;
       // restore the reader's and account the blocked interval to its wait.
       obs::ScopedOp defer_scope(hub(), req.op_id);
       hub().tracer().Record("get_deferred", obs::Category::kQuorum, id_,
                             req.op_id, defer_start, rt_->simulator().now());
-      MetaEntry* e =
-          StoreOf(StateOf(*info_ptr), shard, geom_s).meta.Find(key, version);
-      DeliverGet(*info_ptr, shard, geom_s, key, e, std::move(req));
+      MetaEntry* e = StoreOf(StateOf(*info_ptr), shard, geom_s)
+                         .meta.Find(req.key_hash, req.key, version);
+      DeliverGet(*info_ptr, shard, geom_s, e, std::move(req));
     });
     return;
   }
   const Version version = entry->version;
-  const Key key_copy = key;  // `key` may alias req.key, moved below
+  if (entry->data_present) {
+    ServeCommittedGet(info, shard, geom_s, version, std::move(req));
+    return;
+  }
+  const Key key = req.key;  // `req` is moved into the continuation
   EnsureDataPresent(
-      info, shard, geom_s, key_copy, version,
-      [this, info_ptr = &info, shard, geom_s, key = key_copy, version,
+      info, shard, geom_s, key, hash, version,
+      [this, info_ptr = &info, shard, geom_s, version,
        req = std::move(req)](Status s) mutable {
         obs::ScopedOp present_scope(hub(), req.op_id);
         if (!s.ok()) {
@@ -1174,56 +1296,63 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
                         });
           return;
         }
-        MetaEntry* e =
-            StoreOf(StateOf(*info_ptr), shard, geom_s).meta.Find(key, version);
-        if (e == nullptr) {
-          ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
-            reply(GetResult{NotFoundError("gone"), 0, nullptr});
-          });
-          return;
-        }
-        const auto& p = rt_->simulator().params();
-        const uint64_t cost =
-            static_cast<uint64_t>(p.mem_byte_ns * e->len) + p.post_send_ns;
-        const uint64_t addr = e->addr;
-        const uint32_t len = e->len;
-        cpu().ExecuteOnShard(
-            HomeShardForKey(key), cost,
-            [this, info_ptr, shard, geom_s, key, addr, len, version,
-             req = std::move(req)]() mutable {
-          obs::ScopedOp read_scope(hub(), req.op_id);
-          if (!IsAlive()) {
-            return;
-          }
-          ShardStore& store = StoreOf(StateOf(*info_ptr), shard, geom_s);
-          // Validate-and-retry (the check backing the paper's optimistic
-          // one-sided reads): the version may have been garbage-collected —
-          // and its heap region reused by a newer write — while this copy
-          // was queued behind other CPU work. Re-resolve; a newer committed
-          // version exists whenever that happens.
-          const MetaEntry* live = store.meta.Find(key, version);
-          if (!rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
-              (live == nullptr || !live->committed || live->tombstone ||
-               !live->data_present || live->addr != addr)) {
-            ++counters_.op_restarts;
-            hub().metrics().Inc("server.op_restarts", 1, id_);
-            hub().recorder().Record(obs::RecKind::kRestart, "get_restart",
-                                    id_, hub().current_op(), version);
-            ResolveGet(std::move(req));
-            return;
-          }
-          NoteAccess(RegionKind::kHeap, AccessKind::kRead,
-                     ScopeOf(info_ptr->id, shard), addr, addr + len,
-                     "get/heap");
-          auto data = std::make_shared<Buffer>();
-          const ByteSpan bytes = store.Read(addr, len);
-          data->assign(bytes.begin(), bytes.end());
-          ReplyToClient(req.client, kReplyBytes + len,
-                        [reply = req.reply, data, version] {
-                          reply(GetResult{OkStatus(), version, data});
-                        });
-        });
+        ServeCommittedGet(*info_ptr, shard, geom_s, version, std::move(req));
       });
+}
+
+void RingServer::ServeCommittedGet(const MemgestInfo& info, uint32_t shard,
+                                   uint32_t geom_s, Version version,
+                                   GetRequest req) {
+  MetaEntry* e =
+      StoreOf(StateOf(info), shard, geom_s).meta.Find(req.key_hash, req.key,
+                                                      version);
+  if (e == nullptr) {
+    ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
+      reply(GetResult{NotFoundError("gone"), 0, nullptr});
+    });
+    return;
+  }
+  const auto& p = rt_->simulator().params();
+  const uint64_t cost =
+      static_cast<uint64_t>(p.mem_byte_ns * e->len) + p.post_send_ns;
+  const uint64_t addr = e->addr;
+  const uint32_t len = e->len;
+  const uint32_t home = HomeShardForHash(req.key_hash);
+  cpu().ExecuteOnShard(
+      home, cost,
+      [this, info_ptr = &info, shard, geom_s, addr, len, version,
+       req = std::move(req)]() mutable {
+    obs::ScopedOp read_scope(hub(), req.op_id);
+    if (!IsAlive()) {
+      return;
+    }
+    ShardStore& store = StoreOf(StateOf(*info_ptr), shard, geom_s);
+    // Validate-and-retry (the check backing the paper's optimistic
+    // one-sided reads): the version may have been garbage-collected — and
+    // its heap region reused by a newer write — while this copy was queued
+    // behind other CPU work. Re-resolve; a newer committed version exists
+    // whenever that happens.
+    const MetaEntry* live = store.meta.Find(req.key_hash, req.key, version);
+    if (!rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
+        (live == nullptr || !live->committed || live->tombstone ||
+         !live->data_present || live->addr != addr)) {
+      ++counters_.op_restarts;
+      hub().metrics().Inc("server.op_restarts", 1, id_);
+      hub().recorder().Record(obs::RecKind::kRestart, "get_restart", id_,
+                              hub().current_op(), version);
+      ResolveGet(std::move(req));
+      return;
+    }
+    NoteAccess(RegionKind::kHeap, AccessKind::kRead,
+               ScopeOf(info_ptr->id, shard), addr, addr + len, "get/heap");
+    auto data = std::make_shared<Buffer>();
+    const ByteSpan bytes = store.Read(addr, len);
+    data->assign(bytes.begin(), bytes.end());
+    ReplyToClient(req.client, kReplyBytes + len,
+                  [reply = std::move(req.reply), data, version] {
+                    reply(GetResult{OkStatus(), version, data});
+                  });
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1234,16 +1363,15 @@ void RingServer::HandleMove(MoveRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
-  // Hoisted: the capture below moves `req`, and argument evaluation order
-  // would otherwise let the move gut req.key before it is hashed.
-  const uint32_t home = HomeShardForKey(req.key);
+  req.key_hash = CarriedHash(req.key, req.key_hash);
+  const uint32_t home = HomeShardForHash(req.key_hash);
   cpu().ExecuteOnShard(home, rt_->simulator().params().server_base_ns,
                        [this, req = std::move(req)]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;
     }
-    const RouteAction route = RouteKey(req.key, req.forwarded);
+    const RouteAction route = RouteKey(req.key, req.key_hash, req.forwarded);
     if (route.kind == RouteAction::Kind::kForward) {
       ++counters_.forwards;
       hub().metrics().Inc("server.forwards", 1, id_);
@@ -1264,80 +1392,71 @@ void RingServer::HandleMove(MoveRequest req) {
       return;
     }
     const uint32_t shard = route.shard;
-    if (!req.resumed && !ClaimClientOp(req.client, req.req_id)) {
+    if (!req.resumed &&
+        !ClaimClientOp(req.client, req.req_id, req.floor, req.reply)) {
       return;  // duplicate: executed (reply resent) or still in flight
     }
     ++counters_.moves;
     hub().metrics().Inc("server.moves", 1, id_, req.dst, obs::OpKind::kMove);
+    const uint64_t hash = req.key_hash;
     NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-               HashKey(req.key), HashKey(req.key) + 1, "move/version");
-    const auto ref = volatile_index_.Highest(req.key);
+               hash, hash + 1, "move/version");
+    const auto ref = volatile_index_.Highest(hash, req.key);
     if (!ref.has_value()) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(NotFoundError("no such key"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id, req.reply,
+                        NotFoundError("no such key"));
       return;
     }
     const MemgestInfo* dst = rt_->registry().Get(req.dst);
     if (dst == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(InvalidArgumentError("no such memgest"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id, req.reply,
+                        InvalidArgumentError("no such memgest"));
       return;
     }
     const MemgestInfo* src = rt_->registry().Get(ref->memgest);
     if (src == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(InternalError("source memgest vanished"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id, req.reply,
+                        InternalError("source memgest vanished"));
       return;
     }
     uint32_t src_shard = shard;
     uint32_t src_geom = route.geom_s;
     MetaEntry* entry =
-        FindEntry(*src, req.key, ref->version, &src_shard, &src_geom);
+        FindEntry(*src, req.key, hash, ref->version, &src_shard, &src_geom);
     if (entry == nullptr || entry->tombstone) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(NotFoundError("deleted"), 0);
-                        });
+      ReplyToClientOnce(req.client, req.req_id, req.reply,
+                        NotFoundError("deleted"));
       return;
     }
     if (!entry->committed) {
       // "The move request will also be postponed if the requested object is
       // not durable" (§5.2). The request already claimed its at-most-once
       // slot above, so the re-invocation must skip the claim — otherwise
-      // the dedup table swallows the postponed move when the entry commits
+      // the dedup check swallows the postponed move when the entry commits
       // and the client never hears back (it would burn through all its
       // retries, every one deduped, and report a spurious timeout).
-      entry->waiters.push_back([this, req]() mutable {
+      entry->waiters.push_back([this, req = std::move(req)]() mutable {
         req.resumed = true;
-        HandleMove(req);
+        HandleMove(std::move(req));
       });
       return;
     }
     const Version src_version = entry->version;
     const Key key_copy = req.key;  // req is moved into the continuation
     EnsureDataPresent(
-        *src, src_shard, src_geom, key_copy, src_version,
+        *src, src_shard, src_geom, key_copy, hash, src_version,
         [this, src, dst, shard = src_shard, geom = src_geom, src_version,
          req = std::move(req)](Status s) mutable {
           obs::ScopedOp present_scope(hub(), req.op_id);
           if (!s.ok()) {
-            ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                              [reply = req.reply, s] { reply(s, 0); });
+            ReplyToClientOnce(req.client, req.req_id, req.reply, s);
             return;
           }
           MetaEntry* e = StoreOf(StateOf(*src), shard, geom)
-                             .meta.Find(req.key, src_version);
+                             .meta.Find(req.key_hash, req.key, src_version);
           if (e == nullptr) {
-            ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                              [reply = req.reply] {
-                                reply(NotFoundError("gone"), 0);
-                              });
+            ReplyToClientOnce(req.client, req.req_id, req.reply,
+                              NotFoundError("gone"));
             return;
           }
           // Local read + re-encode into the destination memgest. All data is
@@ -1358,7 +1477,7 @@ void RingServer::HandleMove(MoveRequest req) {
               dst->erasure_coded()
                   ? static_cast<uint64_t>(p.gf_byte_ns * e->len)
                   : 0;
-          const uint32_t home = HomeShardForKey(req.key);
+          const uint32_t home = HomeShardForHash(req.key_hash);
           const sim::SimTime move_done = cpu().ExecuteOnShard(
               home, cost, [this, src, dst, shard, geom, addr, len, src_version,
                            req = std::move(req)]() mutable {
@@ -1370,7 +1489,8 @@ void RingServer::HandleMove(MoveRequest req) {
             // Validate-and-retry, as in the get path: the source version may
             // have been garbage-collected (region reused) while the copy was
             // queued. Restart the move against the current highest version.
-            const MetaEntry* live = store.meta.Find(req.key, src_version);
+            const MetaEntry* live =
+                store.meta.Find(req.key_hash, req.key, src_version);
             if (live == nullptr || live->tombstone || !live->data_present ||
                 live->addr != addr) {
               ++counters_.op_restarts;
@@ -1387,21 +1507,20 @@ void RingServer::HandleMove(MoveRequest req) {
             auto value = std::make_shared<Buffer>();
             const ByteSpan bytes = store.Read(addr, len);
             value->assign(bytes.begin(), bytes.end());
-            const Version version = volatile_index_.NextVersion(req.key);
+            const Version version =
+                volatile_index_.NextVersion(req.key_hash, req.key);
+            auto on_commit = [this, client = req.client, req_id = req.req_id,
+                              reply = std::move(req.reply), version,
+                              op_id = req.op_id](Status st) {
+              obs::ScopedOp reply_scope(hub(), op_id);
+              ReplyToClientOnce(client, req_id, reply, std::move(st),
+                                version);
+            };
             // The re-encoded copy stays under the geometry the key is
             // currently served at: migration to the new shape is the
             // rebalance driver's job, not the move path's.
-            StartWrite(*dst, shard, req.key, version, value, false,
-                       [this, client = req.client, req_id = req.req_id,
-                        reply = req.reply, version,
-                        op_id = req.op_id](Status st) {
-                         obs::ScopedOp reply_scope(hub(), op_id);
-                         ReplyToClientOnce(client, req_id, kReplyBytes,
-                                           [reply, st, version] {
-                                             reply(st, version);
-                                           });
-                       },
-                       geom);
+            StartWrite(*dst, shard, req.key, req.key_hash, version, value,
+                       false, std::move(on_commit), geom);
           });
           if (coding_cost > 0) {
             hub().tracer().Record("encode", obs::Category::kCoding, id_,
@@ -1417,16 +1536,15 @@ void RingServer::HandleDelete(DeleteRequest req) {
     return;
   }
   obs::ScopedOp scope(hub(), req.op_id);
-  // Hoisted: the capture below moves `req`, and argument evaluation order
-  // would otherwise let the move gut req.key before it is hashed.
-  const uint32_t home = HomeShardForKey(req.key);
+  req.key_hash = CarriedHash(req.key, req.key_hash);
+  const uint32_t home = HomeShardForHash(req.key_hash);
   cpu().ExecuteOnShard(home, rt_->simulator().params().server_base_ns,
                        [this, req = std::move(req)]() mutable {
     obs::ScopedOp op_scope(hub(), req.op_id);
     if (!IsAlive() || !serving_) {
       return;
     }
-    const RouteAction route = RouteKey(req.key, req.forwarded);
+    const RouteAction route = RouteKey(req.key, req.key_hash, req.forwarded);
     if (route.kind == RouteAction::Kind::kForward) {
       ++counters_.forwards;
       hub().metrics().Inc("server.forwards", 1, id_);
@@ -1447,39 +1565,37 @@ void RingServer::HandleDelete(DeleteRequest req) {
       return;
     }
     const uint32_t shard = route.shard;
-    if (!ClaimClientOp(req.client, req.req_id)) {
+    if (!ClaimClientOp(req.client, req.req_id, req.floor, req.reply)) {
       return;  // duplicate: executed (reply resent) or still in flight
     }
     ++counters_.deletes;
     hub().metrics().Inc("server.deletes", 1, id_, obs::kNoMemgest,
                         obs::OpKind::kDelete);
+    const uint64_t hash = req.key_hash;
     NoteAccess(RegionKind::kVersionWord, AccessKind::kRead, kVersionScope,
-               HashKey(req.key), HashKey(req.key) + 1, "delete/version");
-    const auto ref = volatile_index_.Highest(req.key);
+               hash, hash + 1, "delete/version");
+    const auto ref = volatile_index_.Highest(hash, req.key);
     if (!ref.has_value()) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] {
-                          reply(NotFoundError("no such key"));
-                        });
+      ReplyToClientOnce(req.client, req.req_id, req.reply,
+                        NotFoundError("no such key"));
       return;
     }
     const MemgestInfo* info = rt_->registry().Get(ref->memgest);
     if (info == nullptr) {
-      ReplyToClientOnce(req.client, req.req_id, kReplyBytes,
-                        [reply = req.reply] { reply(OkStatus()); });
+      ReplyToClientOnce(req.client, req.req_id, req.reply, OkStatus());
       return;
     }
     // A delete is a replicated tombstone in the memgest of the current
     // highest version; commit then garbage-collects every older version.
-    const Version version = volatile_index_.NextVersion(req.key);
-    StartWrite(*info, shard, req.key, version, nullptr, true,
-               [this, client = req.client, req_id = req.req_id,
-                reply = req.reply, op_id = req.op_id](Status s) {
-                 obs::ScopedOp reply_scope(hub(), op_id);
-                 ReplyToClientOnce(client, req_id, kReplyBytes,
-                                   [reply, s] { reply(s); });
-               },
-               route.geom_s);
+    const Version version = volatile_index_.NextVersion(hash, req.key);
+    auto on_commit = [this, client = req.client, req_id = req.req_id,
+                      reply = std::move(req.reply),
+                      op_id = req.op_id](Status s) {
+      obs::ScopedOp reply_scope(hub(), op_id);
+      ReplyToClientOnce(client, req_id, reply, std::move(s));
+    };
+    StartWrite(*info, shard, req.key, hash, version, nullptr, true,
+               std::move(on_commit), route.geom_s);
   });
 }
 

@@ -12,13 +12,11 @@
 #ifndef RING_SRC_RING_SERVER_H_
 #define RING_SRC_RING_SERVER_H_
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +36,16 @@ class RingRuntime;
 // ---------------------------------------------------------------------------
 // Client-facing request/response types. The `reply` closure is delivered back
 // to the client node over the fabric by the server.
+//
+// `key_hash` is HashKey(key), computed once by the client and carried through
+// every server and peer hop of the operation (0 = not supplied; the server
+// then computes it). It is not modeled on the wire: request sizes count the
+// key bytes only.
+//
+// Mutations (put/move/delete) also carry the client's `floor`: its lowest
+// req_id that has not completed yet. The server's at-most-once records for
+// that client below the floor are dropped, and a request below it is a stale
+// duplicate of an operation the client has already finished.
 
 struct GetResult {
   Status status;
@@ -47,10 +55,12 @@ struct GetResult {
 
 struct PutRequest {
   Key key;
+  uint64_t key_hash = 0;
   std::shared_ptr<Buffer> value;
   MemgestId memgest = kDefaultMemgest;
   net::NodeId client = 0;
   uint64_t req_id = 0;
+  uint64_t floor = 0;
   uint64_t op_id = 0;  // trace id stitching client/server/redundancy spans
   bool retry = false;
   // Set when a peer relayed this request during a rebalance (§13). Forwarded
@@ -62,6 +72,7 @@ struct PutRequest {
 
 struct GetRequest {
   Key key;
+  uint64_t key_hash = 0;
   net::NodeId client = 0;
   uint64_t req_id = 0;
   uint64_t op_id = 0;
@@ -75,9 +86,11 @@ struct GetRequest {
 
 struct MoveRequest {
   Key key;
+  uint64_t key_hash = 0;
   MemgestId dst = kDefaultMemgest;
   net::NodeId client = 0;
   uint64_t req_id = 0;
+  uint64_t floor = 0;
   uint64_t op_id = 0;
   bool retry = false;
   // Internal re-entry of a move that was postponed on an uncommitted entry:
@@ -89,8 +102,10 @@ struct MoveRequest {
 
 struct DeleteRequest {
   Key key;
+  uint64_t key_hash = 0;
   net::NodeId client = 0;
   uint64_t req_id = 0;
+  uint64_t floor = 0;
   uint64_t op_id = 0;
   bool retry = false;
   bool forwarded = false;
@@ -129,10 +144,13 @@ class RingServer {
   void HandleAdmin(AdminRequest req);
 
   // ---- peer messages ----
+  // Every message about one key carries its HashKey (`key_hash`) from the
+  // originating client op, so no handler rehashes the key.
   struct ReplicaAppend {
     MemgestId memgest;
     uint32_t shard;
     Key key;
+    uint64_t key_hash = 0;
     Version version;
     uint64_t addr;
     uint32_t len;
@@ -158,6 +176,7 @@ class RingServer {
     MemgestId memgest;
     uint32_t shard;
     Key key;
+    uint64_t key_hash = 0;
     Version version;
     uint64_t addr;
     uint32_t len;
@@ -182,6 +201,7 @@ class RingServer {
     MemgestId memgest;
     uint32_t shard;
     Key key;
+    uint64_t key_hash = 0;
     Version version;
     uint32_t geom_s = 0;  // shape of `shard`; 0 = receiver's current shape
   };
@@ -201,6 +221,7 @@ class RingServer {
     MemgestId memgest;
     uint32_t shard;
     Key key;
+    uint64_t key_hash = 0;
     Version version;
     uint32_t ordinal;     // replica ordinal or parity index
     uint32_t geom_s = 0;  // shape of `shard`; 0 = receiver's current shape
@@ -301,8 +322,14 @@ class RingServer {
     // kNonBlocking reads answered from an older committed version while the
     // newest version's quorum was still in flight (§16).
     uint64_t nonblocking_gets = 0;
-    // Duplicate client requests answered from the at-most-once table.
+    // Duplicate client requests answered from the at-most-once records.
     uint64_t resent_replies = 0;
+    // Client mutations dropped because their req_id was below the client's
+    // floor (the client had already completed them).
+    uint64_t stale_requests = 0;
+    // At-most-once records evicted by the per-client cap before the client's
+    // floor passed them (a caller that never advances its floor).
+    uint64_t dedup_evictions = 0;
     // Duplicate backup messages absorbed by the replay fences.
     uint64_t dup_backups = 0;
     // Backup messages resent by the write-retransmit timer.
@@ -342,7 +369,7 @@ class RingServer {
 
   // Model-checker state fingerprint (src/mc): order-insensitive hash of this
   // node's committed key-value state — (memgest, store, key, version,
-  // tombstone, value bytes) tuples, sorted before hashing so unordered-map
+  // tombstone, value bytes) tuples, sorted before hashing so metadata-table
   // iteration order and heap placement never leak in. Excludes timestamps,
   // counters and in-flight entries: schedules that commute must digest equal.
   uint64_t McStateDigest() const;
@@ -381,36 +408,22 @@ class RingServer {
   void ApplyMemgestDelete(MemgestId memgest);
 
  private:
+  // Sliding-window replay fence: one bit per write sequence number in
+  // [base, base + kWindow), so chaos-duplicated backup messages execute at
+  // most once. A sequence past the window slides it forward; sequences below
+  // `base` are treated as already seen.
+  struct SeqWindow {
+    static constexpr uint64_t kWindow = 4096;
+    std::array<uint64_t, kWindow / 64> bits{};
+    uint64_t base = 0;
+
+    // True exactly once per sequence number.
+    bool MarkOnce(uint64_t seq);
+  };
+
   // Per-shard object store: a virtual address space (heap) plus the shard's
   // metadata hashtable. Coordinators own one for their shard; replicas hold
   // mirrors for shards they back.
-  // Sliding-window replay fence: records which write sequence numbers have
-  // been applied so chaos-duplicated backup messages execute at most once.
-  // Sequences below the retained window are treated as already seen (the
-  // window only slides forward past applied entries).
-  struct SeqWindow {
-    std::set<uint64_t> seen;
-    uint64_t min_retained = 0;
-
-    // True exactly once per sequence number.
-    bool MarkOnce(uint64_t seq) {
-      if (seq < min_retained) {
-        return false;
-      }
-      if (!seen.insert(seq).second) {
-        return false;
-      }
-      while (seen.size() > kWindow) {
-        auto oldest = seen.begin();
-        min_retained = *oldest + 1;
-        seen.erase(oldest);
-      }
-      return true;
-    }
-
-    static constexpr size_t kWindow = 4096;
-  };
-
   struct ShardStore {
     Buffer heap;
     uint64_t next_addr = 0;
@@ -464,7 +477,8 @@ class RingServer {
   obs::Hub& hub();
   // Race-detector hook: logs an access to a declared region of this node's
   // protocol state ([lo, hi) bytes within `scope` of `kind`). One branch and
-  // out when analysis is off.
+  // out when analysis is off. Key-addressed regions use the carried key hash
+  // as the address, so call sites never hash.
   void NoteAccess(analysis::RegionKind kind, analysis::AccessKind access,
                   uint64_t scope, uint64_t lo, uint64_t hi, const char* site);
   const consensus::ClusterConfig& config() const { return config_; }
@@ -489,12 +503,13 @@ class RingServer {
     uint32_t geom_s = 0;     // kServe: shape the shard id belongs to
     net::NodeId target = 0;  // kForward
   };
-  RouteAction RouteKey(const Key& key, bool forwarded);
+  // `hash` is HashKey(key) throughout the private API below.
+  RouteAction RouteKey(const Key& key, uint64_t hash, bool forwarded);
   // Entry lookup across the live shapes: tries the current-shape shard,
   // then (while rebalancing) the previous-shape shard. Fills *shard_out
   // with the shard id (and *geom_out with the shape) the entry was found
   // under.
-  MetaEntry* FindEntry(const MemgestInfo& info, const Key& key,
+  MetaEntry* FindEntry(const MemgestInfo& info, const Key& key, uint64_t hash,
                        Version version, uint32_t* shard_out,
                        uint32_t* geom_out);
   // Shard stores and parity stores are keyed per (shape, shard-or-group):
@@ -522,16 +537,23 @@ class RingServer {
   // Write path pieces. `shard` is a shard id under `geom_s` (0 = current
   // shape); `moved` writes a §13 moved-marker entry.
   void StartWrite(const MemgestInfo& info, uint32_t shard, const Key& key,
-                  Version version, std::shared_ptr<Buffer> value,
-                  bool tombstone, std::function<void(Status)> on_commit,
-                  uint32_t geom_s = 0, bool moved = false);
+                  uint64_t hash, Version version,
+                  std::shared_ptr<Buffer> value, bool tombstone,
+                  std::function<void(Status)> on_commit, uint32_t geom_s = 0,
+                  bool moved = false);
+  // Sends the backup message for `ordinal` (replica ordinal or parity index)
+  // of the write recorded in `entry`: on the first send and on every
+  // retransmission, rebuilt from the entry each time.
+  void SendBackup(const MemgestInfo& info, uint32_t shard, const Key& key,
+                  uint64_t hash, const MetaEntry& entry, uint32_t ordinal,
+                  uint32_t slot, const std::shared_ptr<Buffer>& bytes);
   void CommitEntry(const MemgestInfo& info, uint32_t shard, const Key& key,
-                   Version version, uint32_t geom_s = 0);
+                   uint64_t hash, Version version, uint32_t geom_s = 0);
   // Resends un-acked backup messages for a pending write every
   // write_retransmit_ns until it commits (no-op when the period is 0).
   void ScheduleWriteRetransmit(MemgestId gid, uint32_t shard, uint32_t geom_s,
-                               const Key& key, Version version);
-  void GcOldVersions(const Key& key, Version below);
+                               const Key& key, uint64_t hash, Version version);
+  void GcOldVersions(const Key& key, uint64_t hash, Version below);
 
   // Read path pieces.
   // Resolves the highest version of req.key and dispatches DeliverGet.
@@ -539,10 +561,14 @@ class RingServer {
   // the resolved version was garbage-collected mid-read.
   void ResolveGet(GetRequest req);
   void DeliverGet(const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
-                  const Key& key, MetaEntry* entry, GetRequest req);
+                  MetaEntry* entry, GetRequest req);
+  // Copies the committed, locally present `version` out of the heap (one
+  // CPU charge) and replies, revalidating the entry after the charge.
+  void ServeCommittedGet(const MemgestInfo& info, uint32_t shard,
+                         uint32_t geom_s, Version version, GetRequest req);
   void EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
-                         uint32_t geom_s, const Key& key, Version version,
-                         std::function<void(Status)> then);
+                         uint32_t geom_s, const Key& key, uint64_t hash,
+                         Version version, std::function<void(Status)> then);
 
   // Recovery pieces. `geom_s` selects the shape a shard id belongs to
   // (0 = current); during a rebalance a promoted node recovers both shapes.
@@ -582,17 +608,47 @@ class RingServer {
   // Backup-side work homes on the ids carried by the message instead
   // (replica appends by shard, parity updates by group) — see the handlers.
   // With one core everything maps to shard 0.
-  uint32_t HomeShardForKey(const Key& key);
+  uint32_t HomeShardForHash(uint64_t hash);
 
-  // At-most-once execution of client mutations. ClaimClientOp returns true
-  // exactly once per (client, req_id): the caller may execute the operation.
-  // On a duplicate whose reply was already produced, the recorded reply is
-  // resent; a duplicate of a still-executing op is ignored (the pending
-  // reply will reach the client). ReplyToClientOnce records the reply
-  // closure against the claim so later duplicates can replay it.
-  bool ClaimClientOp(net::NodeId client, uint64_t req_id);
-  void ReplyToClientOnce(net::NodeId client, uint64_t req_id, uint64_t bytes,
-                         std::function<void()> fn);
+  // At-most-once execution of client mutations (RIFL-style per-client
+  // completion records). ClaimClientOp first applies the request's floor,
+  // then returns true exactly once per (client, req_id): the caller may
+  // execute the operation. On a duplicate whose outcome was already
+  // recorded, the outcome is re-sent through the duplicate's own `reply`; a
+  // duplicate of a still-executing op, or one below the floor, is dropped.
+  // ReplyToClientOnce records the outcome against the claim and replies.
+  template <typename Reply>
+  bool ClaimClientOp(net::NodeId client, uint64_t req_id, uint64_t floor,
+                     const Reply& reply);
+  template <typename Reply>
+  void ReplyToClientOnce(net::NodeId client, uint64_t req_id,
+                         const Reply& reply, Status status,
+                         Version version = 0);
+  // Sends a mutation outcome to the client through `reply`.
+  template <typename Reply>
+  void SendOutcome(net::NodeId client, const Reply& reply, Status status,
+                   Version version);
+  // The outcome of one client mutation, recorded so a duplicate can be
+  // answered without re-executing it.
+  struct ClientOpRecord {
+    uint64_t req_id = 0;
+    bool done = false;
+    Status status;
+    Version version = 0;
+  };
+  // One client's records, ascending by req_id, all at or above `floor`.
+  // Records [head, records.size()) are live; the dead prefix is compacted
+  // away once it outgrows the live part.
+  struct ClientOps {
+    uint64_t floor = 0;
+    size_t head = 0;
+    std::vector<ClientOpRecord> records;
+
+    // The first live record whose req_id is not below `req_id`.
+    std::vector<ClientOpRecord>::iterator Seek(uint64_t req_id);
+  };
+  ClientOps& ClientOpsOf(net::NodeId client);
+  ClientOpRecord* FindClientOp(net::NodeId client, uint64_t req_id);
 
   RingRuntime* rt_;
   net::NodeId id_;
@@ -607,27 +663,14 @@ class RingServer {
   bool excluded_ = false;
   uint64_t last_recovery_ns_ = 0;
   Counters counters_;
-  // At-most-once table for client mutations: (client, req_id) -> recorded
-  // reply resend closure (null while the op is still executing). Bounded by
-  // FIFO eviction; clients never have more than one op in flight, so the
-  // window is generous. Hashed, not ordered — the table only ever does
-  // keyed find/emplace/erase (never iterates), so the unordered layout is
-  // deterministic and drops the rb-tree overhead the put/get hot path was
-  // paying per request.
-  struct ClientOpHash {
-    size_t operator()(const std::pair<net::NodeId, uint64_t>& id) const {
-      uint64_t x = (static_cast<uint64_t>(id.first) << 48) ^ id.second;
-      x ^= x >> 30;
-      x *= 0xBF58476D1CE4E5B9ull;
-      x ^= x >> 27;
-      x *= 0x94D049BB133111EBull;
-      return static_cast<size_t>(x ^ (x >> 31));
-    }
-  };
-  std::unordered_map<std::pair<net::NodeId, uint64_t>, std::function<void()>,
-                     ClientOpHash>
-      client_ops_;
-  std::deque<std::pair<net::NodeId, uint64_t>> client_ops_order_;
+  // At-most-once records for client mutations, indexed by client node id.
+  // A client's records are trimmed by the floor its requests carry; a client
+  // may keep many ops in flight, so the records span its whole in-flight
+  // window. kClientOpWindow caps one client's live
+  // records for callers that never advance the floor: the oldest record is
+  // then evicted (counted in dedup_evictions) and the floor raised past it,
+  // so a late duplicate of it is dropped rather than re-executed.
+  std::vector<ClientOps> client_ops_;
   static constexpr size_t kClientOpWindow = 8192;
 };
 

@@ -58,7 +58,8 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
             if (pending.count(key) != 0) {
               return;
             }
-            const auto ref = volatile_index_.Highest(key);
+            const uint64_t hash = HashKey(key);
+            const auto ref = volatile_index_.Highest(hash, key);
             if (!ref.has_value()) {
               return;  // replica mirror only / already erased
             }
@@ -68,7 +69,7 @@ void RingServer::HandleRebalanceScan(RebalanceScan msg) {
             }
             uint32_t found_shard = 0;
             uint32_t found_geom = 0;
-            const MetaEntry* e = FindEntry(*owner, key, ref->version,
+            const MetaEntry* e = FindEntry(*owner, key, hash, ref->version,
                                            &found_shard, &found_geom);
             if (e == nullptr || found_geom == config_.s) {
               return;  // already living at the new shape
@@ -117,7 +118,8 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       done(OkStatus());  // transition already completed: nothing to move
       return;
     }
-    const auto ref = volatile_index_.Highest(msg.key);
+    const uint64_t hash = HashKey(msg.key);
+    const auto ref = volatile_index_.Highest(hash, msg.key);
     if (!ref.has_value()) {
       done(OkStatus());  // erased (or never here): scan will not re-report
       return;
@@ -129,7 +131,8 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
     }
     uint32_t shard = 0;
     uint32_t geom = 0;
-    MetaEntry* entry = FindEntry(*info, msg.key, ref->version, &shard, &geom);
+    MetaEntry* entry =
+        FindEntry(*info, msg.key, hash, ref->version, &shard, &geom);
     if (entry == nullptr) {
       done(OkStatus());
       return;
@@ -168,10 +171,10 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
     // Write the durable moved-marker one version above the highest committed
     // write. From this moment RouteKey refuses new old-shape ops on the key;
     // once the marker commits on its redundancy set, ship the contents.
-    const Version floor = volatile_index_.NextVersion(msg.key);
+    const Version floor = volatile_index_.NextVersion(hash, msg.key);
     const MemgestInfo* info_ptr = info;
     const Key key = msg.key;
-    StartWrite(*info, shard, key, floor, nullptr, false,
+    StartWrite(*info, shard, key, hash, floor, nullptr, false,
                [this, info_ptr, key, shard, geom, floor,
                 done = std::move(done)](Status s) mutable {
                  if (!s.ok()) {
@@ -194,13 +197,14 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
   std::shared_ptr<Buffer> value;
   bool tombstone = false;
   Version payload_version = 0;
-  for (const auto& r : volatile_index_.Refs(key)) {
+  const uint64_t hash = HashKey(key);
+  for (const auto& r : volatile_index_.Refs(hash, key)) {
     if (r.version >= floor || r.memgest != info.id) {
       continue;
     }
     uint32_t fshard = shard;
     uint32_t fgeom = geom_s;
-    MetaEntry* e = FindEntry(info, key, r.version, &fshard, &fgeom);
+    MetaEntry* e = FindEntry(info, key, hash, r.version, &fshard, &fgeom);
     if (e == nullptr || !e->committed || e->moved) {
       continue;
     }
@@ -220,7 +224,7 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
     // a tombstone so the new owner still holds the version floor.
     tombstone = true;
   }
-  const uint32_t cur_shard = KeyShard(key, config_.num_shards());
+  const uint32_t cur_shard = ShardOfHash(hash, config_.num_shards());
   const net::NodeId new_owner = config_.CoordinatorOfShard(cur_shard);
   const uint64_t payload = value ? value->size() : 0;
 
@@ -234,14 +238,14 @@ void RingServer::SendInstall(const MemgestInfo& info, const Key& key,
   msg.op_id = hub().current_op();
   const MemgestInfo* info_ptr = &info;
   const bool local = new_owner == id_;
-  msg.ack = [this, info_ptr, key, floor, payload, local,
+  msg.ack = [this, info_ptr, key, hash, floor, payload, local,
              reply = std::move(reply)](Status s) mutable {
     // Runs back at the old owner once the new owner replies.
     if (s.ok()) {
       uint32_t mshard = 0;
       uint32_t mgeom = 0;
       if (MetaEntry* marker =
-              FindEntry(*info_ptr, key, floor, &mshard, &mgeom);
+              FindEntry(*info_ptr, key, hash, floor, &mshard, &mgeom);
           marker != nullptr) {
         marker->moved_done = true;
       }
@@ -283,7 +287,8 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     if (!IsAlive() || !serving_) {
       return;  // the old owner's driver retry re-sends the install
     }
-    const uint32_t cur_shard = KeyShard(msg.key, config_.num_shards());
+    const uint64_t hash = HashKey(msg.key);
+    const uint32_t cur_shard = ShardOfHash(hash, config_.num_shards());
     if (config_.CoordinatorOfShard(cur_shard) != id_) {
       return;  // stale routing (a failover moved the shard); retry covers
     }
@@ -299,13 +304,14 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     // the old owner's own moved-marker sits at version == floor in the old
     // geometry and must not satisfy the install.
     bool covered = false;
-    for (const auto& r : volatile_index_.Refs(msg.key)) {
+    for (const auto& r : volatile_index_.Refs(hash, msg.key)) {
       if (r.version < msg.floor || r.memgest != msg.memgest) {
         continue;
       }
       uint32_t fshard = 0;
       uint32_t fgeom = 0;
-      const MetaEntry* e = FindEntry(*info, msg.key, r.version, &fshard, &fgeom);
+      const MetaEntry* e =
+          FindEntry(*info, msg.key, hash, r.version, &fshard, &fgeom);
       if (e != nullptr && fgeom == config_.s && !e->moved) {
         covered = true;
         break;
@@ -318,8 +324,9 @@ void RingServer::HandleInstallKey(InstallKey msg) {
     ++counters_.installs;
     hub().metrics().Inc("server.installs", 1, id_, info->id);
     const Version version =
-        std::max(volatile_index_.NextVersion(msg.key), msg.floor);
-    StartWrite(*info, cur_shard, msg.key, version, msg.value, msg.tombstone,
+        std::max(volatile_index_.NextVersion(hash, msg.key), msg.floor);
+    StartWrite(*info, cur_shard, msg.key, hash, version, msg.value,
+               msg.tombstone,
                [this, from = msg.from, ack = msg.ack](Status s) {
                  SendToNode(from, kAckBytes, [ack, s] { ack(s); });
                });

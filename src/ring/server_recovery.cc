@@ -104,7 +104,7 @@ void RingServer::AbandonPendingWrites() {
         e.acks_pending = 0;
         e.acks_needed = 0;
         e.waiters.clear();
-        e.backup_resend.clear();
+        e.resend_bytes.reset();
       });
     }
   }
@@ -117,7 +117,6 @@ void RingServer::Restart() {
   memgests_.clear();
   volatile_index_ = VolatileIndex();
   client_ops_.clear();
-  client_ops_order_.clear();
   counters_ = Counters{};
   last_recovery_ns_ = 0;
   serving_ = false;
@@ -359,7 +358,7 @@ void RingServer::FetchShardMetadata(const MemgestInfo& info, uint32_t shard,
           entry.acks_pending = 0;
           entry.acks_needed = 0;
           entry.waiters.clear();
-          entry.backup_resend.clear();
+          entry.resend_bytes.reset();
           entry.data_present = entry.tombstone || entry.len == 0;
           entry.geom_s = geom;
           entry.moved_done = false;  // volatile: re-verified by the driver
@@ -512,7 +511,7 @@ void RingServer::RebuildVolatileIndex() {
 
 void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
                                    uint32_t geom_s, const Key& key,
-                                   Version version,
+                                   uint64_t hash, Version version,
                                    std::function<void(Status)> then) {
   const uint32_t geom = geom_s == 0 ? config_.s : geom_s;
   const auto placement = PlacementFor(geom);
@@ -522,7 +521,7 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
   }
   MemgestState& state = StateOf(info);
   ShardStore& store = StoreOf(state, shard, geom);
-  MetaEntry* entry = store.meta.Find(key, version);
+  MetaEntry* entry = store.meta.Find(hash, key, version);
   if (entry == nullptr) {
     then(NotFoundError("entry gone"));
     return;
@@ -537,7 +536,7 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
   const uint64_t op_id = hub().current_op();
   const sim::SimTime recover_start = rt_->simulator().now();
 
-  auto complete = [this, info_ptr, shard, geom, key, version, op_id,
+  auto complete = [this, info_ptr, shard, geom, key, hash, version, op_id,
                    recover_start,
                    then = std::move(then)](std::shared_ptr<Buffer> bytes) {
     obs::ScopedOp scope(hub(), op_id);
@@ -552,7 +551,7 @@ void RingServer::EnsureDataPresent(const MemgestInfo& info, uint32_t shard,
     }
     MemgestState& st = StateOf(*info_ptr);
     ShardStore& sh = StoreOf(st, shard, geom);
-    MetaEntry* e = sh.meta.Find(key, version);
+    MetaEntry* e = sh.meta.Find(hash, key, version);
     if (e == nullptr) {
       then(NotFoundError("entry gone during recovery"));
       return;
@@ -885,7 +884,7 @@ void RingServer::RecoverStoreEntries(
   }
   const auto [key, version] = todo[next];
   const MemgestInfo* info_ptr = &info;
-  EnsureDataPresent(info, shard, geom_s, key, version,
+  EnsureDataPresent(info, shard, geom_s, key, HashKey(key), version,
                     [this, info_ptr, shard, geom_s, todo = std::move(todo),
                      next, done = std::move(done)](Status) mutable {
                       RecoverStoreEntries(*info_ptr, shard, geom_s,
@@ -1019,9 +1018,10 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
         entry.data_present = true;
         entry.geom_s = geom;
         entry.moved = upd.moved;
-        par.shard_meta[upd.shard].Insert(upd.key, std::move(entry));
-        Ack ack{upd.memgest, upd.shard, upd.key, upd.version,
-                upd.parity_index, geom};
+        par.shard_meta[upd.shard].Insert(upd.key_hash, upd.key,
+                                         std::move(entry));
+        Ack ack{upd.memgest,  upd.shard,        upd.key, upd.key_hash,
+                upd.version, upd.parity_index, geom};
         const net::NodeId coord = placement->CoordinatorOfShard(upd.shard);
         auto* peer = rt_->server(coord);
         rt_->fabric().Write(id_, coord, kAckBytes,
@@ -1171,7 +1171,7 @@ void RingServer::HandleRedundancyRecovered(RedundancyRecovered msg) {
       }
     });
     for (const auto& [key, version] : to_commit) {
-      CommitEntry(*info, msg.shard, key, version, geom);
+      CommitEntry(*info, msg.shard, key, HashKey(key), version, geom);
     }
   });
 }

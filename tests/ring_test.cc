@@ -545,5 +545,129 @@ TEST_F(RingKvsTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(42), run(42));
 }
 
+// At-most-once under load: a late duplicate of a put must not re-execute no
+// matter how many other mutations the coordinator completed in between.
+// 8192 is the old server-wide dedup window; saturating it used to evict the
+// put's claim, so the duplicate re-ran and rolled the key back.
+TEST_F(RingKvsTest, LateDuplicatePutAfterDedupSaturationIsNotReExecuted) {
+  const uint32_t shard = 0;
+  const Key key = KeyInShard(shard, 3, 7);
+  RingServer& coord = cluster_->server(shard);
+
+  // The original put, delivered straight to the coordinator as request 1
+  // of client 1 (a caller that never advances its floor).
+  bool first_done = false;
+  PutRequest req;
+  req.key = key;
+  req.value = std::make_shared<Buffer>(ToBuffer("first"));
+  req.memgest = rep3_;
+  req.client = cluster_->client(1).node();
+  req.req_id = 1;
+  req.reply = [&](Status s, Version) {
+    EXPECT_TRUE(s.ok());
+    first_done = true;
+  };
+  coord.HandlePut(req);
+  ASSERT_TRUE(cluster_->RunUntilDone([&] { return first_done; }));
+  ASSERT_TRUE(cluster_->Put(key, "second", rep3_).ok());
+
+  // Saturate: more completed mutations through the same coordinator than
+  // the old window held, all from client 0.
+  std::vector<Key> filler;
+  for (int i = 0; i < 16; ++i) {
+    filler.push_back(KeyInShard(shard, 3, 100 + i));
+  }
+  for (int i = 0; i < 8300; ++i) {
+    ASSERT_TRUE(
+        cluster_->Put(filler[i % filler.size()], "x", rep3_).ok());
+  }
+
+  const uint64_t puts_before = coord.counters().puts;
+  coord.HandlePut(req);  // the late duplicate
+  cluster_->RunFor(2 * sim::kMillisecond);
+  EXPECT_EQ(coord.counters().puts, puts_before);
+  EXPECT_EQ(coord.counters().resent_replies, 1u);
+  auto got = cluster_->Get(key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(ToString(*got), "second");
+}
+
+// The floor a client request carries retires that client's completion
+// records below it; a later duplicate of a retired request is stale and
+// dropped without a reply or a re-execution.
+TEST_F(RingKvsTest, DuplicateBelowTheClientFloorIsDropped) {
+  const uint32_t shard = 1;
+  const Key key = KeyInShard(shard, 3, 11);
+  RingServer& coord = cluster_->server(shard);
+  int replies = 0;
+  auto put = [&](uint64_t req_id, uint64_t floor, const std::string& value) {
+    PutRequest req;
+    req.key = key;
+    req.value = std::make_shared<Buffer>(ToBuffer(value));
+    req.memgest = rep3_;
+    req.client = cluster_->client(1).node();
+    req.req_id = req_id;
+    req.floor = floor;
+    req.reply = [&](Status s, Version) {
+      EXPECT_TRUE(s.ok());
+      ++replies;
+    };
+    return req;
+  };
+  const PutRequest first = put(1, 1, "first");
+  coord.HandlePut(first);
+  ASSERT_TRUE(cluster_->RunUntilDone([&] { return replies == 1; }));
+  // Request 2 reports that everything below it completed.
+  coord.HandlePut(put(2, 2, "second"));
+  ASSERT_TRUE(cluster_->RunUntilDone([&] { return replies == 2; }));
+
+  const uint64_t puts_before = coord.counters().puts;
+  coord.HandlePut(first);  // a late wire copy of request 1
+  cluster_->RunFor(2 * sim::kMillisecond);
+  EXPECT_EQ(replies, 2);
+  EXPECT_EQ(coord.counters().puts, puts_before);
+  EXPECT_EQ(coord.counters().stale_requests, 1u);
+  EXPECT_EQ(coord.counters().resent_replies, 0u);
+  auto got = cluster_->Get(key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(ToString(*got), "second");
+}
+
+// A caller that never advances its floor is held to the per-client cap: the
+// oldest record is evicted (counted), and its duplicates are then dropped
+// rather than re-executed.
+TEST_F(RingKvsTest, ClientThatNeverAdvancesItsFloorIsCapped) {
+  const uint32_t shard = 2;
+  RingServer& coord = cluster_->server(shard);
+  std::vector<Key> keys;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back(KeyInShard(shard, 3, 200 + i));
+  }
+  int replies = 0;
+  auto put = [&](uint64_t req_id) {
+    PutRequest req;
+    req.key = keys[req_id % keys.size()];
+    req.value = std::make_shared<Buffer>(ToBuffer("v"));
+    req.memgest = rep3_;
+    req.client = cluster_->client(1).node();
+    req.req_id = req_id;  // floor stays 0
+    req.reply = [&](Status, Version) { ++replies; };
+    return req;
+  };
+  constexpr int kOps = 8192 + 2;
+  for (int i = 1; i <= kOps; ++i) {
+    coord.HandlePut(put(static_cast<uint64_t>(i)));
+    ASSERT_TRUE(cluster_->RunUntilDone([&] { return replies == i; }));
+  }
+  EXPECT_EQ(coord.counters().dedup_evictions, 2u);
+  const uint64_t puts_before = coord.counters().puts;
+  coord.HandlePut(put(1));     // evicted: dropped as stale
+  coord.HandlePut(put(kOps));  // still recorded: its reply is resent
+  cluster_->RunFor(2 * sim::kMillisecond);
+  EXPECT_EQ(coord.counters().puts, puts_before);
+  EXPECT_EQ(coord.counters().stale_requests, 1u);
+  EXPECT_EQ(coord.counters().resent_replies, 1u);
+}
+
 }  // namespace
 }  // namespace ring

@@ -98,7 +98,6 @@ void RingClient::Launch(uint64_t req_id, std::function<void(bool)> send,
                         std::function<void()> fail, bool hedgeable) {
   const auto& p = rt_->simulator().params();
   Outstanding* o = Find(req_id);
-  o->launched = true;
   o->send = std::move(send);
   o->fail = std::move(fail);
   if (p.client_retry_budget_ns > 0) {

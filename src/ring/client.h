@@ -85,7 +85,6 @@ class RingClient {
 
  private:
   struct Outstanding {
-    bool launched = false;
     bool done = false;
     uint32_t retries = 0;
     // Absolute give-up time (0: bounded by the retry count only).

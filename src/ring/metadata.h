@@ -212,6 +212,20 @@ class FlatKeyTable {
  public:
   using List = SmallList<Item, N>;
 
+  FlatKeyTable() = default;
+  FlatKeyTable(const FlatKeyTable&) = default;
+  FlatKeyTable& operator=(const FlatKeyTable&) = default;
+  // Moves leave the source an empty, usable table.
+  FlatKeyTable(FlatKeyTable&& other) noexcept { *this = std::move(other); }
+  FlatKeyTable& operator=(FlatKeyTable&& other) noexcept {
+    tags_ = std::exchange(other.tags_, {});
+    recs_ = std::exchange(other.recs_, {});
+    size_ = std::exchange(other.size_, 0);
+    mask_ = std::exchange(other.mask_, 0);
+    shift_ = std::exchange(other.shift_, 64);
+    return *this;
+  }
+
   List* Find(uint64_t hash, std::string_view key) {
     const int64_t slot = Lookup(Tag(hash), key);
     return slot < 0 ? nullptr : &recs_[slot].items;
@@ -356,6 +370,19 @@ class FlatKeyTable {
 // and freed entries are recycled through a free list.
 class EntrySlab {
  public:
+  EntrySlab() = default;
+  EntrySlab(const EntrySlab&) = delete;
+  EntrySlab& operator=(const EntrySlab&) = delete;
+  // Moves keep every entry's address and leave the source empty.
+  EntrySlab(EntrySlab&& other) noexcept { *this = std::move(other); }
+  EntrySlab& operator=(EntrySlab&& other) noexcept {
+    chunks_ = std::exchange(other.chunks_, {});
+    free_ = std::exchange(other.free_, {});
+    last_chunk_size_ = std::exchange(other.last_chunk_size_, 0);
+    last_chunk_used_ = std::exchange(other.last_chunk_used_, 0);
+    return *this;
+  }
+
   MetaEntry* New(MetaEntry&& init);
   void Delete(MetaEntry* entry);
   void Clear();
@@ -379,8 +406,14 @@ class MetadataTable {
   // Deep copy (a recovery metadata snapshot): fresh entries in a new slab.
   MetadataTable(const MetadataTable& other) { CopyFrom(other); }
   MetadataTable& operator=(const MetadataTable& other);
-  MetadataTable(MetadataTable&&) noexcept = default;
-  MetadataTable& operator=(MetadataTable&&) noexcept = default;
+  // Moves keep every entry's address and leave the source empty.
+  MetadataTable(MetadataTable&& other) noexcept { *this = std::move(other); }
+  MetadataTable& operator=(MetadataTable&& other) noexcept {
+    keys_ = std::move(other.keys_);
+    slab_ = std::move(other.slab_);
+    entry_count_ = std::exchange(other.entry_count_, 0);
+    return *this;
+  }
 
   // `hash` is HashKey(key); the key-only overloads compute it.
   MetaEntry* Find(uint64_t hash, const Key& key, Version version);

@@ -394,7 +394,7 @@ bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id,
 
 template <typename Reply>
 void RingServer::ReplyToClientOnce(net::NodeId client, uint64_t req_id,
-                                   const Reply& reply, Status status,
+                                   Reply reply, Status status,
                                    Version version) {
   if (ClientOpRecord* record = FindClientOp(client, req_id);
       record != nullptr) {
@@ -402,23 +402,24 @@ void RingServer::ReplyToClientOnce(net::NodeId client, uint64_t req_id,
     record->status = status;
     record->version = version;
   }
-  SendOutcome(client, reply, std::move(status), version);
+  SendOutcome(client, std::move(reply), std::move(status), version);
 }
 
 template <typename Reply>
-void RingServer::SendOutcome(net::NodeId client, const Reply& reply,
-                             Status status, Version version) {
+void RingServer::SendOutcome(net::NodeId client, Reply reply, Status status,
+                             Version version) {
+  // Init-captures keep `reply` non-const inside the closure, so relocating
+  // the task moves the callback instead of copying it.
   if (status.ok()) {
     // The common case carries no status, so the task stays inline.
-    ReplyToClient(client, kReplyBytes, [reply, version] {
+    ReplyToClient(client, kReplyBytes, [reply = std::move(reply), version] {
       InvokeReply(reply, OkStatus(), version);
     });
     return;
   }
   ReplyToClient(client, kReplyBytes,
-                [reply, status = std::move(status), version] {
-                  InvokeReply(reply, status, version);
-                });
+                [reply = std::move(reply), status = std::move(status),
+                 version] { InvokeReply(reply, status, version); });
 }
 
 // ---------------------------------------------------------------------------
@@ -487,9 +488,10 @@ void RingServer::HandlePut(PutRequest req) {
     const Version version = volatile_index_.NextVersion(req.key_hash, req.key);
     auto on_commit = [this, client = req.client, req_id = req.req_id,
                       reply = std::move(req.reply), version,
-                      op_id = req.op_id](Status s) {
+                      op_id = req.op_id](Status s) mutable {
       obs::ScopedOp reply_scope(hub(), op_id);
-      ReplyToClientOnce(client, req_id, reply, std::move(s), version);
+      ReplyToClientOnce(client, req_id, std::move(reply), std::move(s),
+                        version);
     };
     StartWrite(*info, route.shard, req.key, req.key_hash, version, req.value,
                false, std::move(on_commit), route.geom_s);
@@ -1511,10 +1513,10 @@ void RingServer::HandleMove(MoveRequest req) {
                 volatile_index_.NextVersion(req.key_hash, req.key);
             auto on_commit = [this, client = req.client, req_id = req.req_id,
                               reply = std::move(req.reply), version,
-                              op_id = req.op_id](Status st) {
+                              op_id = req.op_id](Status st) mutable {
               obs::ScopedOp reply_scope(hub(), op_id);
-              ReplyToClientOnce(client, req_id, reply, std::move(st),
-                                version);
+              ReplyToClientOnce(client, req_id, std::move(reply),
+                                std::move(st), version);
             };
             // The re-encoded copy stays under the geometry the key is
             // currently served at: migration to the new shape is the
@@ -1590,9 +1592,9 @@ void RingServer::HandleDelete(DeleteRequest req) {
     const Version version = volatile_index_.NextVersion(hash, req.key);
     auto on_commit = [this, client = req.client, req_id = req.req_id,
                       reply = std::move(req.reply),
-                      op_id = req.op_id](Status s) {
+                      op_id = req.op_id](Status s) mutable {
       obs::ScopedOp reply_scope(hub(), op_id);
-      ReplyToClientOnce(client, req_id, reply, std::move(s));
+      ReplyToClientOnce(client, req_id, std::move(reply), std::move(s));
     };
     StartWrite(*info, shard, req.key, hash, version, nullptr, true,
                std::move(on_commit), route.geom_s);

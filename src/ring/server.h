@@ -621,12 +621,11 @@ class RingServer {
   bool ClaimClientOp(net::NodeId client, uint64_t req_id, uint64_t floor,
                      const Reply& reply);
   template <typename Reply>
-  void ReplyToClientOnce(net::NodeId client, uint64_t req_id,
-                         const Reply& reply, Status status,
-                         Version version = 0);
+  void ReplyToClientOnce(net::NodeId client, uint64_t req_id, Reply reply,
+                         Status status, Version version = 0);
   // Sends a mutation outcome to the client through `reply`.
   template <typename Reply>
-  void SendOutcome(net::NodeId client, const Reply& reply, Status status,
+  void SendOutcome(net::NodeId client, Reply reply, Status status,
                    Version version);
   // The outcome of one client mutation, recorded so a duplicate can be
   // answered without re-executing it.

@@ -4,6 +4,7 @@
 // end of the slot array, plus the slab's pointer-stability guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <tuple>
@@ -195,7 +196,7 @@ TEST(MetadataTableTest, EntryPointersSurviveOtherInsertsAndErases) {
   EXPECT_EQ(table.Highest("held")->version, 4u);
 }
 
-TEST(MetadataTableTest, CopyIsDeepAndIndependent) {
+TEST(MetadataTableTest, CopyIsDeepAndMoveKeepsEntries) {
   MetadataTable table;
   for (int i = 0; i < 50; ++i) {
     MetaEntry e;
@@ -219,6 +220,18 @@ TEST(MetadataTableTest, CopyIsDeepAndIndependent) {
   EXPECT_EQ(table.entry_count(), 0u);
   EXPECT_EQ(table.Find("c3", 4), nullptr);
   EXPECT_NE(copy.Find("c3", 4), nullptr);
+
+  // A move keeps entry addresses and leaves the source empty but usable.
+  const size_t count = copy.entry_count();
+  MetadataTable moved = std::move(copy);
+  EXPECT_EQ(moved.Find("c3", 4), copied);
+  EXPECT_EQ(moved.entry_count(), count);
+  EXPECT_EQ(copy.entry_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.Find("c3", 4), nullptr);
+  MetaEntry fresh;
+  fresh.version = 1;
+  copy.Insert("again", fresh);
+  EXPECT_NE(copy.Find("again", 1), nullptr);
 }
 
 TEST(VolatileIndexTest, MatchesReferenceModelUnderRandomChurn) {

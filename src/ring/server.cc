@@ -315,13 +315,6 @@ void RingServer::SendToNode(net::NodeId node, uint64_t bytes, sim::Task fn) {
   rt_->fabric().Send(id_, node, bytes, std::move(fn));
 }
 
-RingServer::ClientOps& RingServer::ClientOpsOf(net::NodeId client) {
-  if (client >= client_ops_.size()) {
-    client_ops_.resize(client + 1);
-  }
-  return client_ops_[client];
-}
-
 std::vector<RingServer::ClientOpRecord>::iterator RingServer::ClientOps::Seek(
     uint64_t req_id) {
   return std::lower_bound(
@@ -342,7 +335,10 @@ RingServer::ClientOpRecord* RingServer::FindClientOp(net::NodeId client,
 template <typename Reply>
 bool RingServer::ClaimClientOp(net::NodeId client, uint64_t req_id,
                                uint64_t floor, const Reply& reply) {
-  ClientOps& ops = ClientOpsOf(client);
+  if (client >= client_ops_.size()) {
+    client_ops_.resize(client + 1);
+  }
+  ClientOps& ops = client_ops_[client];
   if (floor > ops.floor) {
     // The client finished everything below `floor`: no retry of those ops
     // can follow, so their records are dead.
@@ -1335,7 +1331,7 @@ void RingServer::ServeCommittedGet(const MemgestInfo& info, uint32_t shard,
     // behind other CPU work. Re-resolve; a newer committed version exists
     // whenever that happens.
     const MetaEntry* live = store.meta.Find(req.key_hash, req.key, version);
-    if (!rt_->options().test_bugs.no_gc_revalidate &&  // PR 5 bug 3
+    if (!rt_->options().test_bugs.no_gc_revalidate &&  // test-only bug switch
         (live == nullptr || !live->committed || live->tombstone ||
          !live->data_present || live->addr != addr)) {
       ++counters_.op_restarts;

@@ -646,7 +646,6 @@ class RingServer {
     // The first live record whose req_id is not below `req_id`.
     std::vector<ClientOpRecord>::iterator Seek(uint64_t req_id);
   };
-  ClientOps& ClientOpsOf(net::NodeId client);
   ClientOpRecord* FindClientOp(net::NodeId client, uint64_t req_id);
 
   RingRuntime* rt_;
@@ -665,10 +664,10 @@ class RingServer {
   // At-most-once records for client mutations, indexed by client node id.
   // A client's records are trimmed by the floor its requests carry; a client
   // may keep many ops in flight, so the records span its whole in-flight
-  // window. kClientOpWindow caps one client's live
-  // records for callers that never advance the floor: the oldest record is
-  // then evicted (counted in dedup_evictions) and the floor raised past it,
-  // so a late duplicate of it is dropped rather than re-executed.
+  // window. kClientOpWindow caps one client's live records for callers that
+  // never advance the floor: the oldest record is then evicted (counted in
+  // dedup_evictions) and the floor raised past it, so a late duplicate of it
+  // is dropped rather than re-executed.
   std::vector<ClientOps> client_ops_;
   static constexpr size_t kClientOpWindow = 8192;
 };

@@ -776,7 +776,7 @@ void RingServer::HandleReplicaAppend(ReplicaAppend msg) {
       // been lost, and ApplyAck is idempotent on the coordinator.
       ++counters_.dup_backups;
     }
-    Ack ack{msg.memgest, msg.shard,   std::move(msg.key), msg.key_hash,
+    Ack ack{msg.memgest, msg.shard, std::move(msg.key), msg.key_hash,
             msg.version, msg.ordinal, geom};
     auto* peer = rt_->server(msg.from);
     rt_->fabric().Write(id_, msg.from, kAckBytes,
@@ -832,7 +832,7 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
       // update must not apply twice; still re-ack in case the first ack
       // was lost.
       ++counters_.dup_backups;
-      Ack ack{msg.memgest,      msg.shard, std::move(msg.key), msg.key_hash,
+      Ack ack{msg.memgest, msg.shard, std::move(msg.key), msg.key_hash,
               msg.version, msg.parity_index, geom};
       auto* peer = rt_->server(msg.from);
       rt_->fabric().Write(
@@ -865,7 +865,7 @@ void RingServer::HandleParityUpdate(ParityUpdate msg) {
     parity.shard_meta[msg.shard].Insert(msg.key_hash, msg.key,
                                         std::move(entry));
 
-    Ack ack{msg.memgest, msg.shard,        std::move(msg.key), msg.key_hash,
+    Ack ack{msg.memgest, msg.shard, std::move(msg.key), msg.key_hash,
             msg.version, msg.parity_index, geom};
     auto* peer = rt_->server(msg.from);
     rt_->fabric().Write(id_, msg.from, kAckBytes,

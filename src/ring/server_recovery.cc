@@ -1020,7 +1020,7 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
         entry.moved = upd.moved;
         par.shard_meta[upd.shard].Insert(upd.key_hash, upd.key,
                                          std::move(entry));
-        Ack ack{upd.memgest,  upd.shard,        upd.key, upd.key_hash,
+        Ack ack{upd.memgest, upd.shard, upd.key, upd.key_hash,
                 upd.version, upd.parity_index, geom};
         const net::NodeId coord = placement->CoordinatorOfShard(upd.shard);
         auto* peer = rt_->server(coord);

@@ -13,13 +13,13 @@
 //     remote CPU is charged. Ring uses this to offload replication traffic
 //     from redundant nodes (§6).
 //
-// Delivery is structured as per-destination NIC completion queues: each
-// in-flight message parks its payload (handler closure, op context, race
-// edge) in the destination's CQ keyed by arrival tick, and the event queue
-// carries only thin doorbell events. With nic_coalesce_ns == 0 (default)
-// every message still gets its own doorbell — schedules stay byte-identical
-// to the classic per-event fabric — while a nonzero window batches all of a
-// node's arrivals per window behind one doorbell (completion coalescing).
+// Delivery parks each in-flight message's payload (handler closure, op
+// context, race edge) in a slab of Pending slots recycled through a free
+// list; the event queue carries only a thin doorbell naming the slot. Every
+// message gets its own doorbell at its arrival tick, in issue order, so the
+// schedule matches the classic per-event fabric byte for byte, and a steady
+// stream of deliveries allocates nothing once the slab has grown to the
+// peak number of messages in flight.
 #ifndef RING_SRC_NET_FABRIC_H_
 #define RING_SRC_NET_FABRIC_H_
 
@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/race.h"
@@ -75,10 +74,10 @@ class Fabric {
   // Models RDMA QP access revocation as a first-class one-sided primitive:
   // once `at` revokes `from`'s permissions, every in-flight and future
   // operation issued by `from` and addressed to `at` is rejected at delivery
-  // time and NACKed back to the issuer deterministically (in-flight ops are
-  // parked in `at`'s completion queue, so the delivery-time check catches
-  // them too). The revocation set is empty by default — the delivery fast
-  // path pays one emptiness branch and stays byte-identical to the seed.
+  // time and NACKed back to the issuer deterministically (in-flight ops wait
+  // in delivery slots, so the delivery-time check catches them too). The
+  // revocation set is empty by default — the delivery fast path pays one
+  // emptiness branch and stays byte-identical to the seed.
   void Revoke(NodeId at, NodeId from) { revoked_.insert(PairKey(at, from)); }
   void Restore(NodeId at, NodeId from) { revoked_.erase(PairKey(at, from)); }
   bool revoked(NodeId at, NodeId from) const {
@@ -138,12 +137,9 @@ class Fabric {
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  // Deliveries that shared a doorbell with an earlier same-window arrival
-  // (always 0 with nic_coalesce_ns == 0).
-  uint64_t coalesced_deliveries() const { return coalesced_deliveries_; }
 
  private:
-  // One parked delivery in a destination's completion queue.
+  // One parked delivery, waiting in its slot for its doorbell.
   struct Pending {
     enum class Kind : uint8_t {
       kTwoSided,    // charge server_recv_ns on dst, run handler
@@ -163,16 +159,6 @@ class Fabric {
     sim::Task primary;    // handler / apply / fetch / on_complete
     sim::Task secondary;  // on_complete riding behind apply/fetch
     std::unique_ptr<analysis::VectorClock> edge;
-  };
-  struct Batch {
-    std::vector<Pending> items;
-    size_t cursor = 0;
-  };
-  struct NicQueue {
-    // Keyed lookups only (never iterated): deterministic despite the
-    // unordered container.
-    std::unordered_map<sim::SimTime, Batch> batches;
-    std::vector<Batch> spare;
   };
 
   // Egress serialization on src's NIC: when the message started serializing
@@ -196,15 +182,11 @@ class Fabric {
   // already acted.
   bool RejectDelivery(NodeId dst, const Pending& p);
 
-  // Parks `p` in dst's CQ at `arrival` and rings a doorbell: its own with
-  // coalescing off, the batch's shared one with coalescing on.
+  // Parks `p` in a free slot and rings its doorbell at `arrival` (tagged
+  // for the model checker when one is installed).
   void Enqueue(NodeId dst, sim::SimTime arrival, Pending p);
-  void DrainOne(NodeId dst, sim::SimTime tick);
-  // MC-mode doorbell: consumes the batch item at `idx` (doorbells may be
-  // delivered out of order, so the FIFO cursor becomes a consumed-count).
-  void DrainIndexed(NodeId dst, sim::SimTime tick, size_t idx);
-  void DrainAll(NodeId dst, sim::SimTime tick);
-  void FinishBatch(NicQueue& nic, sim::SimTime tick);
+  // Doorbell: frees the slot, then processes its delivery.
+  void Drain(NodeId dst, uint32_t slot);
   void Process(NodeId dst, Pending& p);
 
   // Terminal leg of a two-sided delivery: re-checks liveness/pause and
@@ -224,10 +206,12 @@ class Fabric {
   NackHandler nack_;
   uint64_t nacks_sent_ = 0;
   std::vector<sim::SimTime> egress_busy_;
-  std::vector<NicQueue> nics_;
+  // Parked deliveries of every destination; a slot is free from its
+  // doorbell until the next Enqueue reuses it.
+  std::vector<Pending> slots_;
+  std::vector<uint32_t> free_slots_;
   uint64_t messages_sent_ = 0;
   uint64_t bytes_sent_ = 0;
-  uint64_t coalesced_deliveries_ = 0;
 };
 
 }  // namespace ring::net

@@ -46,13 +46,6 @@ struct SimParams {
   // Cost a shard pays to accept work posted by a different shard of the
   // same node (wakeup + queue transfer). Never charged with one core.
   uint64_t cross_shard_handoff_ns = 80;
-  // NIC completion coalescing window: 0 (default) delivers every message in
-  // its own completion event — required for byte-identical schedules —
-  // while a nonzero window rounds each arrival up to the next multiple and
-  // drains all of a node's arrivals in that window with one scheduled event
-  // (doorbell batching), trading per-message timing granularity for event
-  // throughput at fig-scale node counts.
-  uint64_t nic_coalesce_ns = 0;
   // Fixed cost to handle any incoming request (dispatch, parsing).
   uint64_t server_recv_ns = 300;
   // Fixed cost of request bookkeeping (hashtable ops, version logic).

@@ -3,7 +3,6 @@
 #define RING_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -110,7 +109,8 @@ class Simulator {
 // Completion callbacks live in a per-shard FIFO here rather than inside the
 // scheduled events: the event carries only {worker, shard, generation}, so
 // big protocol captures are stored once, and Reset() can cancel every
-// not-yet-run completion by bumping the generation.
+// not-yet-run completion by bumping the generation. Each FIFO is a
+// power-of-two ring that only grows, so a warmed worker allocates nothing.
 class CpuWorker {
  public:
   explicit CpuWorker(Simulator* simulator, uint32_t node = 0,
@@ -167,7 +167,11 @@ class CpuWorker {
   struct Shard {
     SimTime busy_until = 0;
     uint64_t consumed = 0;
-    std::deque<Completion> fifo;
+    // FIFO of pending completions: [head, tail) indexes `ring` modulo its
+    // power-of-two size.
+    std::vector<Completion> ring;
+    uint64_t head = 0;
+    uint64_t tail = 0;
   };
 
   void RunCompletion(uint32_t shard, uint64_t generation);

@@ -3,6 +3,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -289,6 +290,46 @@ TEST(CpuWorkerTest, ResetCancelsScheduledCompletions) {
   EXPECT_EQ(cpu.consumed_ns(), 100u);  // only the post-reset item counts
 }
 
+TEST(CpuWorkerTest, FifoRingGrowsAcrossWrapAroundInOrder) {
+  Simulator simulator;
+  CpuWorker cpu(&simulator);
+  std::vector<int> order;
+  int next = 0;
+  auto post = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      cpu.Execute(10, [&order, id = next++] { order.push_back(id); });
+    }
+  };
+  // Half-drain a first batch so the ring's head moves off slot 0, then
+  // queue enough behind it to wrap past the end and force a growth while
+  // wrapped.
+  post(10);
+  simulator.RunUntil(50);
+  ASSERT_EQ(order.size(), 5u);
+  post(40);
+  simulator.Run();
+  std::vector<int> expected(50);
+  for (int i = 0; i < 50; ++i) {
+    expected[i] = i;
+  }
+  EXPECT_EQ(order, expected);
+
+  // Reset with a wrapped backlog pending: none of it runs, and the ring
+  // takes fresh work in order afterwards.
+  order.clear();
+  post(20);
+  simulator.RunUntil(simulator.now() + 35);
+  ASSERT_EQ(order.size(), 3u);
+  cpu.Reset();
+  order.clear();
+  post(40);
+  simulator.Run();
+  ASSERT_EQ(order.size(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(order[i], 70 + i);
+  }
+}
+
 TEST(CpuWorkerTest, ShardsRunInParallel) {
   Simulator simulator;
   CpuWorker cpu(&simulator, /*node=*/0, /*shards=*/2);
@@ -440,6 +481,79 @@ TEST_F(FabricTest, DeadTargetWriteNeverCompletes) {
   fabric_.Write(0, 1, 128, nullptr, [&] { completed = true; });
   simulator_.Run();
   EXPECT_FALSE(completed);
+}
+
+TEST_F(FabricTest, SameTickDeliveriesToOneNodeRunInIssueOrder) {
+  // Equal-size writes from distinct sources land on node 1 at one tick.
+  std::vector<std::pair<int, SimTime>> applied;
+  for (NodeId src : {3u, 0u, 2u}) {
+    fabric_.Write(src, 1, 256,
+                  [this, &applied, src] {
+                    applied.emplace_back(static_cast<int>(src),
+                                         simulator_.now());
+                  },
+                  nullptr);
+  }
+  simulator_.Run();
+  ASSERT_EQ(applied.size(), 3u);
+  EXPECT_EQ(applied[0].first, 3);
+  EXPECT_EQ(applied[1].first, 0);
+  EXPECT_EQ(applied[2].first, 2);
+  EXPECT_EQ(applied[0].second, applied[2].second);
+}
+
+TEST_F(FabricTest, SelfSendDuringDeliveryReusesItsSlotCorrectly) {
+  // The apply runs while its own delivery is being drained, after its slot
+  // went back on the free list: the message it sends to its own node takes
+  // that slot, and the other write parked beside it is untouched.
+  std::vector<std::string> log;
+  fabric_.Write(0, 1, 256,
+                [this, &log] {
+                  log.push_back("apply");
+                  fabric_.Send(1, 1, 64, [&log] { log.push_back("self"); });
+                },
+                [&log] { log.push_back("ack"); });
+  fabric_.Write(2, 1, 256, [&log] { log.push_back("other"); },
+                [&log] { log.push_back("other-ack"); });
+  simulator_.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"apply", "other", "ack",
+                                           "other-ack", "self"}));
+  EXPECT_EQ(fabric_.messages_sent(), 3u);
+}
+
+// Runs the newest frontier delivery first: with equal-time deliveries the
+// doorbells fire in reverse issue order.
+class NewestFirst : public sim::ScheduleController {
+ public:
+  Decision Choose(const std::vector<sim::DeliveryChoice>& candidates) override {
+    Decision d;
+    d.index = candidates.size() - 1;
+    return d;
+  }
+};
+
+class CountingTagger : public DeliveryTagger {
+ public:
+  uint64_t OnDelivery(NodeId, NodeId, uint8_t) override { return ++tags; }
+  uint64_t tags = 0;
+};
+
+TEST_F(FabricTest, TaggedDoorbellsInReverseOrderRunTheirOwnPayloads) {
+  NewestFirst controller;
+  CountingTagger tagger;
+  simulator_.queue().set_controller(&controller, /*reorder_window_ns=*/100);
+  fabric_.set_mc_tagger(&tagger);
+  std::vector<int> applied;
+  for (NodeId src : {0u, 2u, 3u}) {
+    fabric_.Write(src, 1, 256,
+                  [&applied, src] { applied.push_back(static_cast<int>(src)); },
+                  nullptr);
+  }
+  simulator_.Run();
+  EXPECT_EQ(applied, (std::vector<int>{3, 2, 0}));
+  // Three applies plus their three (empty) completions.
+  EXPECT_EQ(tagger.tags, 6u);
+  simulator_.queue().set_controller(nullptr, 0);
 }
 
 TEST_F(FabricTest, CountersTrackTraffic) {

@@ -11,12 +11,18 @@ Result<MemgestId> MemgestRegistry::Create(const MemgestDescriptor& desc) {
     if (desc.r < 1 || desc.r > s_ + d_) {
       return InvalidArgumentError("Rep(r) requires 1 <= r <= s+d");
     }
+    if (desc.r - 1 > kMaxFanOut) {
+      return InvalidArgumentError("Rep(r) requires r - 1 <= 31 replicas");
+    }
   } else {
     if (desc.k < 1 || desc.k > s_) {
       return InvalidArgumentError("SRS(k,m,s) requires 1 <= k <= s");
     }
     if (desc.m < 1 || desc.m > d_) {
       return InvalidArgumentError("SRS(k,m,s) requires 1 <= m <= d");
+    }
+    if (desc.m > kMaxFanOut) {
+      return InvalidArgumentError("SRS(k,m,s) requires m <= 31 parities");
     }
   }
   auto info = std::make_unique<MemgestInfo>();
@@ -65,20 +71,20 @@ Status MemgestRegistry::SetDefault(MemgestId id) {
   return OkStatus();
 }
 
-std::vector<uint32_t> MemgestRegistry::ReplicaSlots(const MemgestInfo& info,
-                                                    uint32_t shard) const {
+SlotList MemgestRegistry::ReplicaSlots(const MemgestInfo& info,
+                                      uint32_t shard) const {
   return ReplicaSlotsFor(info, shard, s_, d_);
 }
 
-std::vector<uint32_t> MemgestRegistry::ParitySlots(const MemgestInfo& info,
-                                                   uint32_t group) const {
+SlotList MemgestRegistry::ParitySlots(const MemgestInfo& info,
+                                     uint32_t group) const {
   return ParitySlotsFor(info, group, s_, d_);
 }
 
-std::vector<uint32_t> MemgestRegistry::ReplicaSlotsFor(const MemgestInfo& info,
-                                                       uint32_t shard,
-                                                       uint32_t s, uint32_t d) {
-  std::vector<uint32_t> slots;
+SlotList MemgestRegistry::ReplicaSlotsFor(const MemgestInfo& info,
+                                          uint32_t shard, uint32_t s,
+                                          uint32_t d) {
+  SlotList slots;
   if (info.desc.kind != SchemeKind::kReplicated) {
     return slots;
   }
@@ -90,10 +96,10 @@ std::vector<uint32_t> MemgestRegistry::ReplicaSlotsFor(const MemgestInfo& info,
   return slots;
 }
 
-std::vector<uint32_t> MemgestRegistry::ParitySlotsFor(const MemgestInfo& info,
-                                                      uint32_t group,
-                                                      uint32_t s, uint32_t d) {
-  std::vector<uint32_t> slots;
+SlotList MemgestRegistry::ParitySlotsFor(const MemgestInfo& info,
+                                         uint32_t group, uint32_t s,
+                                         uint32_t d) {
+  SlotList slots;
   if (info.desc.kind != SchemeKind::kErasureCoded) {
     return slots;
   }

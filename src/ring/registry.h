@@ -13,6 +13,7 @@
 #ifndef RING_SRC_RING_REGISTRY_H_
 #define RING_SRC_RING_REGISTRY_H_
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,6 +32,26 @@ namespace ring {
 struct MemgestGeometry {
   std::unique_ptr<srs::SrsCode> code;
   std::unique_ptr<srs::SrsAddressMap> map;
+};
+
+// Most redundancy targets one write can fan out to (Rep(r): r - 1 replicas,
+// SRS: m parities). The coordinator tracks the acks a write is owed as one
+// bit per target in a 32-bit mask, so wider memgests are rejected.
+inline constexpr uint32_t kMaxFanOut = 31;
+
+// The redundancy slots of one shard or group, held inline (no allocation).
+class SlotList {
+ public:
+  void push_back(uint32_t slot) { slots_[size_++] = slot; }
+  uint32_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  uint32_t operator[](uint32_t i) const { return slots_[i]; }
+  const uint32_t* begin() const { return slots_.data(); }
+  const uint32_t* end() const { return slots_.data() + size_; }
+
+ private:
+  std::array<uint32_t, kMaxFanOut> slots_;
+  uint32_t size_ = 0;
 };
 
 struct MemgestInfo {
@@ -57,7 +78,8 @@ class MemgestRegistry {
   uint32_t groups() const { return groups_; }
 
   // Validates the descriptor against the cluster shape (r <= s+d, m <= d,
-  // k <= s) and installs the memgest. Called on the leader.
+  // k <= s) and the fan-out bound (r - 1 and m at most kMaxFanOut), and
+  // installs the memgest. Called on the leader.
   Result<MemgestId> Create(const MemgestDescriptor& desc);
   Status Delete(MemgestId id);
 
@@ -68,28 +90,25 @@ class MemgestRegistry {
 
   // Replica slots for `shard` of a replicated memgest (r-1 slots), rotated
   // by the shard's group (§5.4).
-  std::vector<uint32_t> ReplicaSlots(const MemgestInfo& info,
-                                     uint32_t shard) const;
+  SlotList ReplicaSlots(const MemgestInfo& info, uint32_t shard) const;
   // Parity slots of an erasure-coded memgest for one group (m slots,
   // base layout s .. s+m-1 rotated by the group index).
-  std::vector<uint32_t> ParitySlots(const MemgestInfo& info,
-                                    uint32_t group) const;
+  SlotList ParitySlots(const MemgestInfo& info, uint32_t group) const;
   // Shape-explicit variants: the same placement rules evaluated under an
   // arbitrary group size (shard/group ids must be of that same shape). Used
   // on both sides of an elastic resize.
-  static std::vector<uint32_t> ReplicaSlotsFor(const MemgestInfo& info,
-                                               uint32_t shard, uint32_t s,
-                                               uint32_t d);
-  static std::vector<uint32_t> ParitySlotsFor(const MemgestInfo& info,
-                                              uint32_t group, uint32_t s,
-                                              uint32_t d);
+  static SlotList ReplicaSlotsFor(const MemgestInfo& info, uint32_t shard,
+                                  uint32_t s, uint32_t d);
+  static SlotList ParitySlotsFor(const MemgestInfo& info, uint32_t group,
+                                 uint32_t s, uint32_t d);
 
   // --- Elastic membership (§13) --------------------------------------------
   // Re-target the catalogue at a new group size: every erasure-coded memgest
   // gets a geometry for new_s (code + address map) and its previous geometry
   // is retained in MemgestInfo::geoms for the rebalance to read. Fails when
   // an existing memgest cannot exist at the new shape (k > new_s or
-  // r > new_s + d).
+  // r > new_s + d). The fan-out bound does not depend on s: Create already
+  // enforced it.
   Status Resize(uint32_t new_s);
   // The code/map for a given shape. geom_s == 0 means "current shape".
   // Returns nullptr for replicated memgests and for shapes never built —

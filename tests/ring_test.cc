@@ -10,6 +10,10 @@
 namespace ring {
 namespace {
 
+std::vector<uint32_t> Slots(const SlotList& list) {
+  return std::vector<uint32_t>(list.begin(), list.end());
+}
+
 // A key that hashes to the given shard (deterministic).
 Key KeyInShard(uint32_t shard, uint32_t s, int salt = 0) {
   for (int i = 0;; ++i) {
@@ -86,19 +90,64 @@ TEST(MemgestRegistryTest, CreateAndPlacement) {
 
   const MemgestInfo* info = reg.Get(*rep3);
   ASSERT_NE(info, nullptr);
-  EXPECT_EQ(reg.ReplicaSlots(*info, 0), (std::vector<uint32_t>{1, 2}));
-  EXPECT_EQ(reg.ReplicaSlots(*info, 2), (std::vector<uint32_t>{3, 4}));
+  EXPECT_EQ(Slots(reg.ReplicaSlots(*info, 0)), (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(Slots(reg.ReplicaSlots(*info, 2)), (std::vector<uint32_t>{3, 4}));
 
   const MemgestInfo* ec = reg.Get(*srs);
   ASSERT_NE(ec, nullptr);
   ASSERT_NE(ec->code, nullptr);
   EXPECT_EQ(ec->code->s(), 3u);
-  EXPECT_EQ(reg.ParitySlots(*ec, 0), (std::vector<uint32_t>{3}));
+  EXPECT_EQ(Slots(reg.ParitySlots(*ec, 0)), (std::vector<uint32_t>{3}));
 
   // Validation.
   EXPECT_FALSE(reg.Create(MemgestDescriptor::Replicated(6)).ok());   // > s+d
   EXPECT_FALSE(reg.Create(MemgestDescriptor::ErasureCoded(4, 1)).ok());  // k>s
   EXPECT_FALSE(reg.Create(MemgestDescriptor::ErasureCoded(3, 3)).ok());  // m>d
+}
+
+// A write tracks the acks it is owed as one bit per redundancy target in a
+// 32-bit mask, so no cluster shape may admit more than kMaxFanOut targets.
+TEST(MemgestRegistryTest, CreateRejectsFanOutBeyondAckMask) {
+  MemgestRegistry reg(/*s=*/40, /*d=*/40);
+  EXPECT_EQ(reg.Create(MemgestDescriptor::Replicated(33)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.Create(MemgestDescriptor::ErasureCoded(2, 32)).status().code(),
+            StatusCode::kInvalidArgument);
+  // At the bound: 31 targets, all of them in the inline slot list.
+  const auto rep32 = reg.Create(MemgestDescriptor::Replicated(32));
+  ASSERT_TRUE(rep32.ok());
+  const SlotList replicas = reg.ReplicaSlots(*reg.Get(*rep32), 7);
+  ASSERT_EQ(replicas.size(), kMaxFanOut);
+  for (uint32_t t = 0; t < replicas.size(); ++t) {
+    EXPECT_EQ(replicas[t], 8 + t);
+  }
+  const auto srs31 = reg.Create(MemgestDescriptor::ErasureCoded(2, 31));
+  ASSERT_TRUE(srs31.ok());
+  EXPECT_EQ(reg.ParitySlots(*reg.Get(*srs31), 0).size(), kMaxFanOut);
+}
+
+TEST(MemgestRegistryTest, ResizeKeepsFanOutBound) {
+  MemgestRegistry reg(/*s=*/3, /*d=*/32);
+  const auto rep32 = reg.Create(MemgestDescriptor::Replicated(32));
+  ASSERT_TRUE(rep32.ok());
+  const auto srs31 = reg.Create(MemgestDescriptor::ErasureCoded(2, 31));
+  ASSERT_TRUE(srs31.ok());
+  EXPECT_EQ(reg.Create(MemgestDescriptor::ErasureCoded(2, 32)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Widening the group lifts r <= s+d well past 33; the fan-out bound
+  // still refuses, and the memgests at the bound keep their full fan-out
+  // under the new shape and after shrinking back.
+  ASSERT_TRUE(reg.Resize(40).ok());
+  EXPECT_EQ(reg.Create(MemgestDescriptor::Replicated(33)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.Create(MemgestDescriptor::ErasureCoded(2, 32)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MemgestRegistry::ReplicaSlotsFor(*reg.Get(*rep32), 39, 40, 32)
+                .size(),
+            kMaxFanOut);
+  EXPECT_EQ(reg.ParitySlots(*reg.Get(*srs31), 0).size(), kMaxFanOut);
+  ASSERT_TRUE(reg.Resize(3).ok());
+  EXPECT_EQ(reg.ReplicaSlots(*reg.Get(*rep32), 0).size(), kMaxFanOut);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -29,12 +28,26 @@
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
 #include "src/ring/types.h"
+#include "src/sim/task.h"
 
 namespace ring {
 
 // Approximate serialized size of one metadata entry (key hash, version,
 // address, length, flags). Used for recovery-traffic modeling (Fig. 12).
 inline constexpr uint64_t kMetaEntryWireBytes = 96;
+
+// Callbacks parked on an entry until it commits: first the writer's
+// continuation, then deferred readers and movers in arrival order. They
+// belong to the live entry, so a copy (a recovery snapshot or install) has
+// none: each callback runs at most once, on the coordinator that parked it.
+class CommitWaiters : public sim::TaskList {
+ public:
+  CommitWaiters() = default;
+  CommitWaiters(const CommitWaiters& /*other*/) : sim::TaskList() {}
+  CommitWaiters& operator=(const CommitWaiters&) = delete;
+  CommitWaiters(CommitWaiters&&) noexcept = default;
+  CommitWaiters& operator=(CommitWaiters&&) noexcept = default;
+};
 
 struct MetaEntry {
   Version version = 0;
@@ -91,8 +104,9 @@ struct MetaEntry {
   // parity delta for erasure coding). Held only while retransmission is
   // enabled and acks are owed; dropped at commit.
   std::shared_ptr<Buffer> resend_bytes;
-  // Deferred readers/movers released at commit time (Fig. 5's client D).
-  std::vector<std::function<void()>> waiters;
+  // The writer's continuation and deferred readers/movers (Fig. 5's client
+  // D), released at commit time.
+  CommitWaiters waiters;
 };
 
 // Inline-first list of small trivially copyable items. The first N live in

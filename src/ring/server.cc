@@ -484,9 +484,9 @@ void RingServer::HandlePut(PutRequest req) {
     const Version version = volatile_index_.NextVersion(req.key_hash, req.key);
     auto on_commit = [this, client = req.client, req_id = req.req_id,
                       reply = std::move(req.reply), version,
-                      op_id = req.op_id](Status s) mutable {
+                      op_id = req.op_id]() mutable {
       obs::ScopedOp reply_scope(hub(), op_id);
-      ReplyToClientOnce(client, req_id, std::move(reply), std::move(s),
+      ReplyToClientOnce(client, req_id, std::move(reply), OkStatus(),
                         version);
     };
     StartWrite(*info, route.shard, req.key, req.key_hash, version, req.value,
@@ -503,8 +503,8 @@ void RingServer::HandlePut(PutRequest req) {
 void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
                             const Key& key, uint64_t hash, Version version,
                             std::shared_ptr<Buffer> value, bool tombstone,
-                            std::function<void(Status)> on_commit,
-                            uint32_t geom_s, bool moved) {
+                            sim::Task on_commit, uint32_t geom_s,
+                            bool moved) {
   if (geom_s == 0) {
     geom_s = config_.s;
   }
@@ -548,8 +548,7 @@ void RingServer::StartWrite(const MemgestInfo& info, uint32_t shard,
              hash, hash + 1, "start_write/version");
   volatile_index_.Add(hash, key, version, info.id);
   e.indexed = true;
-  e.waiters.push_back(
-      [on_commit = std::move(on_commit)] { on_commit(OkStatus()); });
+  e.waiters.Push(std::move(on_commit));
   const uint64_t op_id = hub().current_op();
   e.trace_op = op_id;
   hub().tracer().Record("write_ahead", obs::Category::kOther, id_, op_id,
@@ -992,8 +991,7 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
   }
   entry->resend_bytes.reset();
   const bool moved_marker = entry->moved;
-  auto waiters = std::move(entry->waiters);
-  entry->waiters.clear();
+  sim::TaskList waiters = std::move(entry->waiters);
   // Remove superseded versions: "one instance of the key of a certain
   // version exists across all memgests" (§5.2); old versions are GC'd after
   // every committed put in the default configuration. A moved-marker must
@@ -1003,9 +1001,7 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
   if (rt_->options().gc_old_versions && !moved_marker) {
     GcOldVersions(key, hash, version);
   }
-  for (auto& waiter : waiters) {
-    waiter();
-  }
+  waiters.RunAll();
 }
 
 void RingServer::GcOldVersions(const Key& key, uint64_t hash, Version below) {
@@ -1263,8 +1259,8 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
     const sim::SimTime defer_start = rt_->simulator().now();
     const Version version = entry->version;
     const MemgestInfo* info_ptr = &info;
-    entry->waiters.push_back([this, info_ptr, shard, geom_s, version,
-                              defer_start, req = std::move(req)]() mutable {
+    entry->waiters.Push([this, info_ptr, shard, geom_s, version, defer_start,
+                         req = std::move(req)]() mutable {
       // The waiter fires from CommitEntry under the *writer's* op context;
       // restore the reader's and account the blocked interval to its wait.
       obs::ScopedOp defer_scope(hub(), req.op_id);
@@ -1433,7 +1429,7 @@ void RingServer::HandleMove(MoveRequest req) {
       // the dedup check swallows the postponed move when the entry commits
       // and the client never hears back (it would burn through all its
       // retries, every one deduped, and report a spurious timeout).
-      entry->waiters.push_back([this, req = std::move(req)]() mutable {
+      entry->waiters.Push([this, req = std::move(req)]() mutable {
         req.resumed = true;
         HandleMove(std::move(req));
       });
@@ -1509,10 +1505,10 @@ void RingServer::HandleMove(MoveRequest req) {
                 volatile_index_.NextVersion(req.key_hash, req.key);
             auto on_commit = [this, client = req.client, req_id = req.req_id,
                               reply = std::move(req.reply), version,
-                              op_id = req.op_id](Status st) mutable {
+                              op_id = req.op_id]() mutable {
               obs::ScopedOp reply_scope(hub(), op_id);
-              ReplyToClientOnce(client, req_id, std::move(reply),
-                                std::move(st), version);
+              ReplyToClientOnce(client, req_id, std::move(reply), OkStatus(),
+                                version);
             };
             // The re-encoded copy stays under the geometry the key is
             // currently served at: migration to the new shape is the
@@ -1588,9 +1584,9 @@ void RingServer::HandleDelete(DeleteRequest req) {
     const Version version = volatile_index_.NextVersion(hash, req.key);
     auto on_commit = [this, client = req.client, req_id = req.req_id,
                       reply = std::move(req.reply),
-                      op_id = req.op_id](Status s) mutable {
+                      op_id = req.op_id]() mutable {
       obs::ScopedOp reply_scope(hub(), op_id);
-      ReplyToClientOnce(client, req_id, std::move(reply), std::move(s));
+      ReplyToClientOnce(client, req_id, std::move(reply), OkStatus());
     };
     StartWrite(*info, shard, req.key, hash, version, nullptr, true,
                std::move(on_commit), route.geom_s);

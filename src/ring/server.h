@@ -539,7 +539,7 @@ class RingServer {
   void StartWrite(const MemgestInfo& info, uint32_t shard, const Key& key,
                   uint64_t hash, Version version,
                   std::shared_ptr<Buffer> value, bool tombstone,
-                  std::function<void(Status)> on_commit, uint32_t geom_s = 0,
+                  sim::Task on_commit, uint32_t geom_s = 0,
                   bool moved = false);
   // Sends the backup message for `ordinal` (replica ordinal or parity index)
   // of the write recorded in `entry`: on the first send and on every

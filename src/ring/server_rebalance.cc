@@ -154,7 +154,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
         return;
       }
       // Marker still collecting acks: retry once it commits.
-      entry->waiters.push_back([this, msg]() mutable {
+      entry->waiters.Push([this, msg]() mutable {
         HandleMigrateKey(std::move(msg));
       });
       return;
@@ -163,7 +163,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
       // A client write is in flight; the marker must fence *above* it, so
       // wait for it to settle and re-run (the re-run recomputes the highest
       // version — more writes may have landed meanwhile).
-      entry->waiters.push_back([this, msg]() mutable {
+      entry->waiters.Push([this, msg]() mutable {
         HandleMigrateKey(std::move(msg));
       });
       return;
@@ -176,11 +176,7 @@ void RingServer::HandleMigrateKey(MigrateKey msg) {
     const Key key = msg.key;
     StartWrite(*info, shard, key, hash, floor, nullptr, false,
                [this, info_ptr, key, shard, geom, floor,
-                done = std::move(done)](Status s) mutable {
-                 if (!s.ok()) {
-                   done(s);
-                   return;
-                 }
+                done = std::move(done)]() mutable {
                  SendInstall(*info_ptr, key, shard, geom, floor,
                              std::move(done));
                },
@@ -327,8 +323,8 @@ void RingServer::HandleInstallKey(InstallKey msg) {
         std::max(volatile_index_.NextVersion(hash, msg.key), msg.floor);
     StartWrite(*info, cur_shard, msg.key, hash, version, msg.value,
                msg.tombstone,
-               [this, from = msg.from, ack = msg.ack](Status s) {
-                 SendToNode(from, kAckBytes, [ack, s] { ack(s); });
+               [this, from = msg.from, ack = msg.ack] {
+                 SendToNode(from, kAckBytes, [ack] { ack(OkStatus()); });
                });
   });
 }

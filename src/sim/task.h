@@ -281,6 +281,72 @@ class Task {
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
+// FIFO of Tasks, one pointer wide. Nodes come from the TaskPool, so pushing
+// allocates nothing once the pool is warm. Move-only, like Task.
+class TaskList {
+ public:
+  TaskList() = default;
+  TaskList(TaskList&& o) noexcept : tail_(std::exchange(o.tail_, nullptr)) {}
+  TaskList& operator=(TaskList&& o) noexcept {
+    if (this != &o) {
+      Clear();
+      tail_ = std::exchange(o.tail_, nullptr);
+    }
+    return *this;
+  }
+  TaskList(const TaskList&) = delete;
+  TaskList& operator=(const TaskList&) = delete;
+  ~TaskList() { Clear(); }
+
+  bool empty() const { return tail_ == nullptr; }
+
+  void Push(Task fn) {
+    Node* node = ::new (TaskPool::Allocate(sizeof(Node))) Node{std::move(fn)};
+    if (tail_ == nullptr) {
+      node->next = node;
+    } else {
+      node->next = tail_->next;
+      tail_->next = node;
+    }
+    tail_ = node;
+  }
+
+  // Runs the tasks in push order, destroying each after it runs; the list
+  // is empty from the first call on, so a task may push onto it afresh.
+  void RunAll() { Drain(/*run=*/true); }
+  // Destroys the tasks without running them.
+  void Clear() { Drain(/*run=*/false); }
+
+ private:
+  struct Node {
+    Task fn;
+    Node* next = nullptr;
+  };
+
+  void Drain(bool run) {
+    Node* tail = std::exchange(tail_, nullptr);
+    if (tail == nullptr) {
+      return;
+    }
+    Node* node = tail->next;
+    for (;;) {
+      Node* next = node->next;
+      if (run && node->fn) {
+        node->fn();
+      }
+      const bool last = node == tail;
+      node->~Node();
+      TaskPool::Deallocate(node, sizeof(Node));
+      if (last) {
+        return;
+      }
+      node = next;
+    }
+  }
+
+  Node* tail_ = nullptr;  // circular: tail_->next is the head
+};
+
 }  // namespace ring::sim
 
 #endif  // RING_SRC_SIM_TASK_H_

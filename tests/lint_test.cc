@@ -258,6 +258,22 @@ TEST(LintFixtureTest, AllowlistedFixtureIsClean) {
   EXPECT_TRUE(f.empty()) << FormatFindings(f);
 }
 
+TEST(LintFixtureTest, PerKeyRecordMustNotBoxCallbacks) {
+  // The per-key metadata record parks callbacks on every write, so
+  // src/ring/metadata.h is held to the scheduler trees' rule even though the
+  // rest of src/ring may take std::function.
+  SourceInput in;
+  in.relpath = "src/ring/metadata.h";
+  in.content = ReadFile(std::string(RING_SOURCE_ROOT) +
+                        "/tests/lint/fixture_metadata.h");
+  const auto f = LintSource(in);
+  ASSERT_EQ(f.size(), 1u) << FormatFindings(f);
+  EXPECT_EQ(f[0].rule, "boxed-callback");
+  EXPECT_EQ(f[0].line, 13);
+  in.relpath = "src/ring/server.h";
+  EXPECT_FALSE(HasRule(LintSource(in), "boxed-callback"));
+}
+
 // ---- build graph ----------------------------------------------------------
 
 TEST(LintBuildGraphTest, ReportsOrphanSourcesAndTargets) {

@@ -1,6 +1,6 @@
 // Simulator-core benchmark: events/sec of the discrete-event fast path.
 //
-// Drives the scheduler core (EventQueue + Task captures) with a fig9-style
+// Drives the scheduler (EventQueue + Task captures) with a fig9-style
 // synthetic RPC mix: closed-loop clients, a request hop, a coordinator
 // serve step, a fan-out of replica apply/ack hops, and a reply — every hop
 // a scheduled event whose closure carries the op context (ids plus a
@@ -8,26 +8,16 @@
 // like protocol request captures do). Each op additionally parks retry/SLA
 // timers 50-200 ms out that fire long after completion and no-op — the
 // far-future population that client timeouts, heartbeats, and failure
-// detectors pin in the queue of every fig-scale run. Two cores are timed
-// in one process:
+// detectors pin in the queue of every fig-scale run.
 //
-//   legacy  the pre-PR core reproduced by flags: one binary heap ordering
-//           every pending event (EventQueue kHeap via RING_SIM_CORE=heap)
-//           and a heap allocation per out-of-line capture (TaskPool boxed
-//           mode) — so each microsecond-scale hop pays an O(log n) sift
-//           across the parked-timer population plus malloc/free churn.
-//   fast    the default core: calendar queue (near-future wheel + overflow
-//           tier) + pooled captures.
+// No protocol logic, no per-event allocation, and no observability
+// bookkeeping runs in the loop, so the number is a synthetic ceiling, not
+// an end-to-end result (perfbench/ measures that). Each config runs
+// best-of-N; the reps must replay the same schedule (event count and final
+// clock), which the bench asserts. Emits JSON on stdout (committed as
+// BENCH_sim.json).
 //
-// Both runs replay the identical (time, seq) schedule — the bench asserts
-// the event counts and final clocks match — so the ratio isolates
-// scheduler + allocator cost. No protocol logic, no per-event allocation,
-// and no observability bookkeeping runs in the loop. Emits JSON on stdout
-// (committed as BENCH_sim.json).
-//
-// Usage: sim_core [--quick] [--fast-only|--legacy-only]
-// (--fast-only / --legacy-only run one core twice without the cross-check;
-// they exist for profiling the schedulers in isolation.)
+// Usage: sim_core [--quick]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -61,7 +51,7 @@ struct Config {
                        // large config adds a membership-probe timer on top)
 };
 
-struct ModeResult {
+struct RunResult {
   uint64_t events = 0;
   SimTime final_now = 0;
   double wall_s = 0.0;
@@ -71,7 +61,7 @@ struct ModeResult {
 };
 
 // One closed-loop run of the synthetic RPC mix on a fresh simulator.
-ModeResult RunOnce(const Config& cfg) {
+RunResult RunOnce(const Config& cfg) {
   Simulator sim(/*seed=*/7);
 
   // Key images sized like real protocol keys; the op closures carry one by
@@ -109,9 +99,8 @@ ModeResult RunOnce(const Config& cfg) {
 
     // Client issue -> request hop -> coordinator serve -> `replicas` x
     // (apply hop + ack hop) -> reply hop -> next op. Wire hops are
-    // microsecond-scale (they live in the calendar wheel / near the heap
-    // top); the parked timers land 50-200 ms out (overflow tier / deep in
-    // the heap).
+    // microsecond-scale (the near heap); the parked timers land 50-200 ms
+    // out (the coarse tier).
     void IssueOp(uint32_t client) {
       if (st->issued >= cfg->ops) {
         return;
@@ -174,7 +163,7 @@ ModeResult RunOnce(const Config& cfg) {
   sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
 
-  ModeResult r;
+  RunResult r;
   r.events = sim.events_executed();
   r.final_now = sim.now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -191,53 +180,36 @@ ModeResult RunOnce(const Config& cfg) {
   return r;
 }
 
-ModeResult RunMode(const Config& cfg, bool legacy, int reps) {
-  // EventQueue reads RING_SIM_CORE at construction; the pool flag is
-  // per-thread state. Both selections happen before the Simulator exists
-  // and no Tasks are alive across the toggle.
-  if (legacy) {
-    setenv("RING_SIM_CORE", "heap", 1);
-  } else {
-    unsetenv("RING_SIM_CORE");
-  }
-  TaskPool::set_boxed(legacy);
-  // Each mode reports its fastest repetition: the simulated schedule is
-  // deterministic, so reps differ only by host jitter (faults, frequency,
-  // neighbours) and best-of-N is the steady-state cost.
-  ModeResult best;
+// Best of `reps` runs: the simulated schedule is deterministic, so reps
+// differ only by host jitter (faults, frequency, neighbours) and best-of-N
+// is the steady-state cost.
+RunResult RunBest(const Config& cfg, int reps) {
+  RunResult best;
   for (int i = 0; i < reps; ++i) {
-    ModeResult r = RunOnce(cfg);
+    const RunResult r = RunOnce(cfg);
+    if (i > 0 && (r.events != best.events || r.final_now != best.final_now)) {
+      std::fprintf(stderr,
+                   "FATAL: %s diverged between reps: events %llu vs %llu, "
+                   "final_now %llu vs %llu\n",
+                   cfg.name, static_cast<unsigned long long>(best.events),
+                   static_cast<unsigned long long>(r.events),
+                   static_cast<unsigned long long>(best.final_now),
+                   static_cast<unsigned long long>(r.final_now));
+      std::exit(1);
+    }
     if (i == 0 || r.wall_s < best.wall_s) {
       best = r;
     }
   }
-  TaskPool::set_boxed(false);
-  unsetenv("RING_SIM_CORE");
   return best;
-}
-
-void PrintMode(const char* name, const ModeResult& r, bool last) {
-  std::printf("      \"%s\": {\"events\": %llu, \"final_now_ns\": %llu, "
-              "\"wall_s\": %.3f, \"events_per_sec\": %.0f, "
-              "\"pool_hit_rate_pct\": %llu, \"queue_depth_high_water\": %zu}"
-              "%s\n",
-              name, static_cast<unsigned long long>(r.events),
-              static_cast<unsigned long long>(r.final_now), r.wall_s,
-              r.events_per_sec,
-              static_cast<unsigned long long>(r.pool_hit_rate_pct),
-              r.depth_high_water, last ? "" : ",");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool fast_only = false;
-  bool legacy_only = false;
   for (int i = 1; i < argc; ++i) {
     quick = quick || std::strcmp(argv[i], "--quick") == 0;
-    fast_only = fast_only || std::strcmp(argv[i], "--fast-only") == 0;
-    legacy_only = legacy_only || std::strcmp(argv[i], "--legacy-only") == 0;
   }
 
   // "fig9" mirrors the paper's testbed scale (12 server nodes, saturating
@@ -249,39 +221,26 @@ int main(int argc, char** argv) {
   };
 
   std::printf("{\n  \"bench\": \"sim_core\",\n  \"configs\": [\n");
-  bool first = true;
   const int reps = quick ? 1 : 3;
-  for (const Config& cfg : configs) {
-    const ModeResult legacy = RunMode(cfg, /*legacy=*/!fast_only, reps);
-    const ModeResult fast = RunMode(cfg, /*legacy=*/legacy_only, reps);
-    if (legacy.events != fast.events || legacy.final_now != fast.final_now) {
-      std::fprintf(stderr,
-                   "FATAL: schedulers diverged on %s: events %llu vs %llu, "
-                   "final_now %llu vs %llu\n",
-                   cfg.name, static_cast<unsigned long long>(legacy.events),
-                   static_cast<unsigned long long>(fast.events),
-                   static_cast<unsigned long long>(legacy.final_now),
-                   static_cast<unsigned long long>(fast.final_now));
-      return 1;
-    }
-    const double speedup =
-        legacy.wall_s > 0 ? fast.events_per_sec / legacy.events_per_sec : 0.0;
-    if (!first) {
-      std::printf(",\n");
-    }
-    first = false;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const Config& cfg = configs[c];
+    const RunResult r = RunBest(cfg, reps);
     std::printf("    {\"name\": \"%s\", \"servers\": %u, \"clients\": %u, "
                 "\"keys\": %u, \"ops\": %llu, \"replicas\": %u, "
                 "\"timers_per_op\": %u,\n",
                 cfg.name, cfg.servers, cfg.clients, cfg.keys,
                 static_cast<unsigned long long>(cfg.ops), cfg.replicas,
                 cfg.timers);
-    std::printf("     \"modes\": {\n");
-    PrintMode("legacy_heap_boxed", legacy, false);
-    PrintMode("calendar_pooled", fast, true);
-    std::printf("     },\n     \"schedule_identical\": true,\n"
-                "     \"speedup\": %.2f}", speedup);
+    std::printf("     \"events\": %llu, \"final_now_ns\": %llu, "
+                "\"wall_s\": %.3f, \"events_per_sec\": %.0f, "
+                "\"pool_hit_rate_pct\": %llu, \"queue_depth_high_water\": "
+                "%zu}%s\n",
+                static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.final_now), r.wall_s,
+                r.events_per_sec,
+                static_cast<unsigned long long>(r.pool_hit_rate_pct),
+                r.depth_high_water, c + 1 < configs.size() ? "," : "");
   }
-  std::printf("\n  ]\n}\n");
+  std::printf("  ]\n}\n");
   return 0;
 }

@@ -3,41 +3,73 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
 
 namespace ring::sim {
 
-namespace {
-
-EventQueue::Mode ModeFromEnv() {
-  const char* v = std::getenv("RING_SIM_CORE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) {
-    return EventQueue::Mode::kHeap;
+void EventQueue::KeyHeap::Push(const Key& key) {
+  size_t i = keys_.size();
+  keys_.push_back(key);
+  while (i > 0) {
+    const size_t parent = (i - 1) / 4;
+    if (!Before(key, keys_[parent])) {
+      break;
+    }
+    keys_[i] = keys_[parent];
+    i = parent;
   }
-  return EventQueue::Mode::kCalendar;
+  keys_[i] = key;
 }
 
-}  // namespace
+EventQueue::Key EventQueue::KeyHeap::Pop() {
+  const Key top = keys_.front();
+  const Key last = keys_.back();
+  keys_.pop_back();
+  const size_t n = keys_.size();
+  if (n == 0) {
+    return top;
+  }
+  size_t i = 0;
+  for (;;) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t best = first;
+    if (first + 4 <= n) {
+      // Tournament over the four children, selected without branches.
+      const size_t a = first + Before(keys_[first + 1], keys_[first]);
+      const size_t b = first + 2 + Before(keys_[first + 3], keys_[first + 2]);
+      best = Before(keys_[b], keys_[a]) ? b : a;
+    } else {
+      for (size_t c = first + 1; c < n; ++c) {
+        best = Before(keys_[c], keys_[best]) ? c : best;
+      }
+    }
+    if (!Before(keys_[best], last)) {
+      break;
+    }
+    keys_[i] = keys_[best];
+    i = best;
+  }
+  keys_[i] = last;
+  return top;
+}
 
-EventQueue::EventQueue() : EventQueue(ModeFromEnv()) {}
+EventQueue::EventQueue() : coarse_(kNumCoarse, kNoSlot) {}
 
-EventQueue::EventQueue(Mode mode) : mode_(mode) {
-  if (mode_ == Mode::kCalendar) {
-    buckets_.resize(kNumBuckets);
-    coarse_.resize(kNumCoarse);
+void EventQueue::NoteDepth() {
+  const size_t depth = pending();
+  if (depth > depth_high_water_) {
+    depth_high_water_ = depth;
   }
 }
 
 void EventQueue::Schedule(SimTime t, Task fn) {
   Insert(t < now_ ? now_ : t, std::move(fn));
-  const size_t depth = pending();
-  if (depth > depth_high_water_) {
-    depth_high_water_ = depth;
-  }
+  NoteDepth();
 }
 
 void EventQueue::ScheduleTagged(SimTime t, Task fn, uint64_t tag) {
@@ -47,10 +79,7 @@ void EventQueue::ScheduleTagged(SimTime t, Task fn, uint64_t tag) {
   }
   tagged_.push_back(TaggedEvent{t < now_ ? now_ : t, next_seq_++, tag,
                                 std::move(fn)});
-  const size_t depth = pending();
-  if (depth > depth_high_water_) {
-    depth_high_water_ = depth;
-  }
+  NoteDepth();
 }
 
 void EventQueue::set_controller(ScheduleController* controller,
@@ -58,27 +87,91 @@ void EventQueue::set_controller(ScheduleController* controller,
   assert(tagged_.empty() && "MC controller swap with tagged events in flight");
   controller_ = controller;
   reorder_window_ns_ = reorder_window_ns;
-  if (controller_ != nullptr && mode_ == Mode::kCalendar) {
-    // Peekable single-heap storage: the frontier comparison below reads the
-    // earliest untagged event without popping it. Migrate whatever timers
-    // are already parked in the wheel tiers.
-    for (std::vector<Event>& bucket : buckets_) {
-      for (Event& ev : bucket) {
-        overflow_.push_back(std::move(ev));
-      }
-      bucket.clear();
-    }
-    for (std::vector<Event>& slot : coarse_) {
-      for (Event& ev : slot) {
-        overflow_.push_back(std::move(ev));
-      }
-      slot.clear();
-    }
-    wheel_count_ = 0;
-    coarse_count_ = 0;
-    std::make_heap(overflow_.begin(), overflow_.end(), Later{});
-    mode_ = Mode::kHeap;
+}
+
+void EventQueue::Insert(SimTime t, Task fn) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(tasks_.size());
+    tasks_.push_back(std::move(fn));
+    links_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    tasks_[slot] = std::move(fn);
   }
+  const Key key{t, next_seq_++, slot};
+  if (t < window_start_ + kWindowSpan) {
+    // Before the window end. An MC delivery pulled early may leave now_
+    // behind window_start_; the near heap does not care.
+    near_.Push(key);
+  } else if (t < window_start_ + kCoarseSpan) {
+    Park(key);
+  } else {
+    overflow_.Push(key);
+  }
+}
+
+void EventQueue::Park(const Key& key) {
+  uint32_t& head = coarse_[(key.time >> kWindowShift) & (kNumCoarse - 1)];
+  links_[key.slot] = Link{key.time, key.seq, head};
+  head = key.slot;
+  ++coarse_count_;
+}
+
+void EventQueue::AdvanceWindow() {
+  uint64_t next;
+  if (coarse_count_ > 0) {
+    next = (window_start_ >> kWindowShift) + 1;
+    while (coarse_[next & (kNumCoarse - 1)] == kNoSlot) {
+      ++next;
+    }
+  } else {
+    next = overflow_.top().time >> kWindowShift;
+  }
+  window_start_ = next << kWindowShift;
+
+  // Re-home overflow events the new horizon now covers: into the near heap
+  // or a coarse slot ahead of it.
+  const SimTime window_end = window_start_ + kWindowSpan;
+  while (!overflow_.empty() &&
+         overflow_.top().time < window_start_ + kCoarseSpan) {
+    const Key key = overflow_.Pop();
+    if (key.time < window_end) {
+      near_.Push(key);
+    } else {
+      Park(key);
+    }
+  }
+
+  // Splice the window's own coarse slot into the near heap.
+  uint32_t& head = coarse_[next & (kNumCoarse - 1)];
+  for (uint32_t slot = head; slot != kNoSlot; slot = links_[slot].next) {
+    near_.Push(Key{links_[slot].time, links_[slot].seq, slot});
+    --coarse_count_;
+  }
+  head = kNoSlot;
+}
+
+const EventQueue::Key* EventQueue::Peek() {
+  if (near_.empty()) {
+    if (coarse_count_ == 0 && overflow_.empty()) {
+      return nullptr;
+    }
+    AdvanceWindow();
+  }
+  return &near_.top();
+}
+
+void EventQueue::RunPeeked() {
+  const Key key = near_.Pop();
+  // Moved out before running: the callback may grow the slab.
+  Task fn = std::move(tasks_[key.slot]);
+  free_slots_.push_back(key.slot);
+  now_ = key.time;
+  ++executed_;
+  SetLogSimTime(now_);
+  fn();
 }
 
 bool EventQueue::RunNextControlled() {
@@ -100,15 +193,10 @@ bool EventQueue::RunNextControlled() {
     // An untagged event strictly ahead of every delivery runs untouched:
     // timers and CPU completions are deterministic consequences, never
     // choice points.
-    if (!overflow_.empty() &&
-        (overflow_.front().time < frontier ||
-         (overflow_.front().time == frontier &&
-          overflow_.front().seq < tagged_[lead].seq))) {
-      Event ev = PopEarliest();
-      now_ = ev.time;
-      ++executed_;
-      SetLogSimTime(now_);
-      ev.fn();
+    const Key* next = Peek();
+    if (next != nullptr &&
+        Before(*next, Key{frontier, tagged_[lead].seq, kNoSlot})) {
+      RunPeeked();
       return true;
     }
     // Candidate window: every delivery within reorder_window_ns_ of the
@@ -159,126 +247,15 @@ bool EventQueue::RunNextControlled() {
   }
 }
 
-void EventQueue::Insert(SimTime t, Task fn) {
-  if (mode_ == Mode::kCalendar) {
-    if (t < window_start_ + kWindowSpan) {
-      // In-window: bucket mini-heap. Callers only schedule at t >= now_ >=
-      // window_start_, so the bucket index is unambiguous.
-      std::vector<Event>& bucket =
-          buckets_[(t >> kBucketShift) & (kNumBuckets - 1)];
-      bucket.push_back(Event{t, next_seq_++, std::move(fn)});
-      std::push_heap(bucket.begin(), bucket.end(), Later{});
-      ++wheel_count_;
-      return;
-    }
-    if (t < window_start_ + kCoarseSpan) {
-      // Within the coarse horizon: O(1) unsorted append; the slot is
-      // re-sorted through fine-bucket heaps when the window reaches it.
-      coarse_[(t >> (kBucketShift + kBucketBits)) & (kNumCoarse - 1)]
-          .push_back(Event{t, next_seq_++, std::move(fn)});
-      ++coarse_count_;
-      return;
-    }
-  }
-  overflow_.push_back(Event{t, next_seq_++, std::move(fn)});
-  std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-}
-
-void EventQueue::AdvanceWindow() {
-  // Earliest pending slot: the first non-empty coarse slot after the
-  // current window, capped by the overflow minimum (overflow may hold
-  // earlier events than coarse only while coarse is empty — but after the
-  // horizon moves, re-homed overflow events land in coarse, so both must
-  // be consulted).
-  constexpr uint32_t kSlotShift = kBucketShift + kBucketBits;
-  uint64_t next_slot;
-  if (coarse_count_ > 0) {
-    uint64_t c = (window_start_ >> kSlotShift) + 1;
-    while (coarse_[c & (kNumCoarse - 1)].empty()) {
-      ++c;
-    }
-    next_slot = c;
-    if (!overflow_.empty()) {
-      const uint64_t o = overflow_.front().time >> kSlotShift;
-      next_slot = o < c ? o : c;
-    }
-  } else {
-    next_slot = overflow_.front().time >> kSlotShift;
-  }
-  window_start_ = next_slot << kSlotShift;
-
-  // Re-home overflow events the new horizon now covers: into this window's
-  // fine buckets, or a coarse slot ahead of it.
-  const SimTime window_end = window_start_ + kWindowSpan;
-  while (!overflow_.empty() && overflow_.front().time <
-                                   window_start_ + kCoarseSpan) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Event ev = std::move(overflow_.back());
-    overflow_.pop_back();
-    if (ev.time < window_end) {
-      std::vector<Event>& bucket =
-          buckets_[(ev.time >> kBucketShift) & (kNumBuckets - 1)];
-      bucket.push_back(std::move(ev));
-      std::push_heap(bucket.begin(), bucket.end(), Later{});
-      ++wheel_count_;
-    } else {
-      coarse_[(ev.time >> kSlotShift) & (kNumCoarse - 1)].push_back(
-          std::move(ev));
-      ++coarse_count_;
-    }
-  }
-
-  // Splice the window's own coarse slot into fine buckets.
-  std::vector<Event>& slot = coarse_[next_slot & (kNumCoarse - 1)];
-  for (Event& ev : slot) {
-    std::vector<Event>& bucket =
-        buckets_[(ev.time >> kBucketShift) & (kNumBuckets - 1)];
-    bucket.push_back(std::move(ev));
-    std::push_heap(bucket.begin(), bucket.end(), Later{});
-    ++wheel_count_;
-  }
-  coarse_count_ -= slot.size();
-  slot.clear();
-}
-
-EventQueue::Event EventQueue::PopEarliest() {
-  if (mode_ == Mode::kHeap) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    Event ev = std::move(overflow_.back());
-    overflow_.pop_back();
-    return ev;
-  }
-  if (wheel_count_ == 0) {
-    AdvanceWindow();
-  }
-  // Every wheel event precedes every overflow event (overflow holds only
-  // times at or beyond the window end), so the first non-empty bucket at or
-  // after now_ holds the global minimum.
-  uint64_t b = now_ > window_start_ ? now_ >> kBucketShift
-                                    : window_start_ >> kBucketShift;
-  while (buckets_[b & (kNumBuckets - 1)].empty()) {
-    ++b;
-  }
-  std::vector<Event>& bucket = buckets_[b & (kNumBuckets - 1)];
-  std::pop_heap(bucket.begin(), bucket.end(), Later{});
-  Event ev = std::move(bucket.back());
-  bucket.pop_back();
-  --wheel_count_;
-  return ev;
-}
-
 bool EventQueue::RunNext() {
-  if (controller_ != nullptr && !tagged_.empty()) {
+  // Tagged deliveries exist only while a controller is installed.
+  if (!tagged_.empty()) {
     return RunNextControlled();
   }
-  if (empty()) {
+  if (Peek() == nullptr) {
     return false;
   }
-  Event ev = PopEarliest();
-  now_ = ev.time;
-  ++executed_;
-  SetLogSimTime(now_);
-  ev.fn();
+  RunPeeked();
   return true;
 }
 

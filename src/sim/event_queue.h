@@ -5,21 +5,20 @@
 // load-bearing — ties are broken by insertion sequence, so a given seed
 // always produces the same execution.
 //
-// Two schedulers implement the same (time, seq) total order:
-//   - kCalendar (default): a two-level timing wheel. The fine wheel covers a
-//     ~2 ms near-future window in 256 ns buckets, each bucket a small
-//     (time, seq)-ordered heap; a coarse wheel of 4096 window-sized slots
-//     extends the horizon to ~8.6 s, each slot an unsorted vector that is
-//     spliced into fine buckets when the window reaches it. Steady-state
-//     events (wire deliveries, CPU completions, microsecond timers) hit the
-//     fine wheel in O(1) amortized; parked long timers (retry/heartbeat/
-//     failure windows) cost one coarse append plus one migration instead of
-//     an O(log n) sift on every push/pop. Only events beyond the coarse
-//     horizon fall back to a binary heap.
-//   - kHeap: the original single binary heap, kept as the baseline for the
-//     cross-scheduler equivalence tests and BENCH_sim.json (RING_SIM_CORE=heap).
-// Both run events in exactly the same order, so fixed-seed schedules are
-// byte-identical across schedulers.
+// One scheduler, three tiers over one Task slab (DESIGN.md §14.1). Each
+// event's Task is written once into a slab slot; the tiers order 24-byte
+// (time, seq, slot) keys:
+//   - near: a 4-ary min-heap of every event before the current ~65 µs
+//     window's end (wire hops, CPU completions, microsecond timers);
+//   - coarse: 4096 window-sized slots (~268 ms horizon), each an unsorted
+//     intrusive list threaded through a link array beside the slab, so a
+//     parked retry/heartbeat timer costs O(1) until the window reaches its
+//     slot and splices it into the near heap;
+//   - overflow: a key heap for anything beyond the coarse horizon.
+// Every near event precedes every coarse one, which precedes every overflow
+// one, so the near heap's top is the global minimum once the window has
+// advanced over an empty near tier. That frontier is peekable, which is
+// what the model checker (src/mc) steers by.
 #ifndef RING_SRC_SIM_EVENT_QUEUE_H_
 #define RING_SRC_SIM_EVENT_QUEUE_H_
 
@@ -76,12 +75,7 @@ class ScheduleController {
 
 class EventQueue {
  public:
-  enum class Mode : uint8_t { kCalendar, kHeap };
-
-  // Default mode comes from RING_SIM_CORE ("heap" selects the legacy binary
-  // heap; anything else, or unset, selects the calendar queue).
   EventQueue();
-  explicit EventQueue(Mode mode);
 
   // Enqueues `fn` to run at absolute time `t` (>= now; earlier times are
   // clamped to now).
@@ -95,8 +89,6 @@ class EventQueue {
 
   // Installs the model-checker hook. Untagged events (timers) may be
   // pending, but no tagged delivery may be in flight across the swap.
-  // Forces kHeap storage so the untagged frontier stays peekable; MC
-  // configurations are tiny, so the calendar fast path is irrelevant there.
   // `reorder_window_ns` bounds how far a delivery may be pulled ahead of
   // the frontier event.
   void set_controller(ScheduleController* controller,
@@ -107,48 +99,60 @@ class EventQueue {
   bool RunNext();
 
   SimTime now() const { return now_; }
-  bool empty() const {
-    return wheel_count_ == 0 && coarse_count_ == 0 && overflow_.empty() &&
-           tagged_.empty();
-  }
+  bool empty() const { return pending() == 0; }
   size_t pending() const {
-    return wheel_count_ + coarse_count_ + overflow_.size() + tagged_.size();
+    return near_.size() + coarse_count_ + overflow_.size() + tagged_.size();
   }
   uint64_t executed() const { return executed_; }
   // Deepest the queue has ever been (events pending at once).
   size_t depth_high_water() const { return depth_high_water_; }
-  Mode mode() const { return mode_; }
 
  private:
-  // 256 ns buckets x 8192 buckets = a ~2.1 ms near-future window: wide
-  // enough that wire hops (µs) and saturated CPU backlogs stay in the wheel,
-  // narrow enough that retry timeouts (100 µs – 200 ms) and heartbeats
-  // (10 ms) overflow instead of bloating bucket heaps.
-  static constexpr uint32_t kBucketShift = 8;
-  static constexpr uint32_t kBucketBits = 13;
-  static constexpr uint32_t kNumBuckets = 1u << kBucketBits;
-  static constexpr SimTime kWindowSpan = SimTime{1} << (kBucketShift +
-                                                        kBucketBits);
-  // Coarse wheel: 4096 slots of one window span each (~8.6 s horizon). A
+  // A ~65 µs window: wire hops and CPU slices (ns–µs) land in the near
+  // heap, while retry timeouts (100 µs – 200 ms), heartbeats (10 ms) and
+  // deep CPU backlogs park in the coarse tier. The near heap's depth is
+  // what every pop pays: on fig11 it averages ~30 keys here against ~470
+  // with a 2.1 ms window (DESIGN.md §14.1).
+  static constexpr uint32_t kWindowShift = 16;
+  static constexpr SimTime kWindowSpan = SimTime{1} << kWindowShift;
+  // Coarse tier: 4096 slots of one window span each (~268 ms horizon). A
   // slot is only addressable while its absolute index is within 4095 of the
   // current window's, which Insert's horizon check guarantees.
   static constexpr uint32_t kCoarseBits = 12;
   static constexpr uint32_t kNumCoarse = 1u << kCoarseBits;
   static constexpr SimTime kCoarseSpan = kWindowSpan << kCoarseBits;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  struct Event {
+  // What every tier orders: the event's (time, seq) and its Task's slab
+  // slot, so no sift ever moves a Task.
+  struct Key {
     SimTime time;
     uint64_t seq;
-    Task fn;
+    uint32_t slot;
   };
-  // Min-heap order on (time, seq) via std::push_heap's max-heap convention.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
+  // Branch-free: inside a heap these comparisons are coin flips, and a
+  // mispredicted branch per comparison would cost more than the compare.
+  static bool Before(const Key& a, const Key& b) {
+    return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
+  }
+  // 4-ary min-heap of keys: half the depth of a binary heap, and a node's
+  // four children share a cache line or two.
+  class KeyHeap {
+   public:
+    bool empty() const { return keys_.empty(); }
+    size_t size() const { return keys_.size(); }
+    const Key& top() const { return keys_.front(); }
+    void Push(const Key& key);
+    Key Pop();
+
+   private:
+    std::vector<Key> keys_;
+  };
+  // A coarse-parked event's key, threaded into its slot's list.
+  struct Link {
+    SimTime time;
+    uint64_t seq;
+    uint32_t next;
   };
 
   // Bounds the fan-out of one choice point: candidates beyond the first 16
@@ -163,38 +167,46 @@ class EventQueue {
   };
 
   void Insert(SimTime t, Task fn);
+  void NoteDepth();
+  // Threads `key` onto the coarse slot its time falls in.
+  void Park(const Key& key);
+  // The earliest untagged event, or null when there is none. Advances the
+  // window when the near heap is empty, so the result is always its top.
+  const Key* Peek();
+  // Pops the near heap's top (the one Peek returned) and runs it.
+  void RunPeeked();
   // Controller-driven frontier step: builds the candidate window, asks the
   // controller, and executes/drops the decision. Returns true when an event
   // ran (the caller's RunNext contract); loops internally over drops and
   // rescans.
   bool RunNextControlled();
-  // Repositions the window over the earliest pending slot (coarse or
-  // overflow), re-homes overflow events that the new horizon now covers,
-  // and splices the window's coarse slot into fine buckets. Only legal when
-  // the fine wheel is empty (all wheel events precede all coarse events,
-  // which precede all overflow events, so the wheel must drain first).
+  // Moves the window to the earliest non-empty coarse slot (or the
+  // overflow minimum's), re-homes overflow events the new horizon covers,
+  // and splices the window's coarse slot into the near heap. Only legal
+  // when the near heap is empty: every near event precedes every coarse
+  // event, which precedes every overflow event.
   void AdvanceWindow();
-  Event PopEarliest();
 
-  Mode mode_ = Mode::kCalendar;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   size_t depth_high_water_ = 0;
 
-  // Wheel invariant: every bucketed event has window_start_ <= time <
-  // window_start_ + kWindowSpan, so bucket (time >> kBucketShift) & mask is
-  // unique per event and a forward scan from now_ finds the minimum.
-  std::vector<std::vector<Event>> buckets_;
-  size_t wheel_count_ = 0;
+  // Task slab: each event's Task is written once on Schedule and moved out
+  // once when it runs. links_ runs beside it for coarse-parked events.
+  std::vector<Task> tasks_;
+  std::vector<Link> links_;
+  std::vector<uint32_t> free_slots_;
+
+  // Near tier: every event before the window end.
+  KeyHeap near_;
   SimTime window_start_ = 0;  // always a multiple of kWindowSpan
-
-  // Coarse tier: slot (t / kWindowSpan) & (kNumCoarse - 1), unsorted.
-  std::vector<std::vector<Event>> coarse_;
+  // Coarse tier: the head slot of each coarse slot's list (kNoSlot when
+  // empty), unsorted; slot (t >> kWindowShift) & (kNumCoarse - 1).
+  std::vector<uint32_t> coarse_;
   size_t coarse_count_ = 0;
-
-  // Beyond-horizon tier (and the entire queue in kHeap mode): binary heap.
-  std::vector<Event> overflow_;
+  // Beyond the coarse horizon.
+  KeyHeap overflow_;
 
   // Model-checker side-store: tagged deliveries awaiting a Choose decision.
   // Unsorted (frontier scans are linear); empty whenever controller_ is

@@ -5,7 +5,6 @@
 // observation: no events, no randomness, no schedule changes).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,7 +12,6 @@
 
 #include "src/common/rng.h"
 #include "src/ring/cluster.h"
-#include "src/sim/task.h"
 
 namespace ring {
 namespace {
@@ -135,32 +133,6 @@ TEST(DeterminismTest, TelemetryPipelineDoesNotPerturbTheSchedule) {
   EXPECT_EQ(off.metrics, on.metrics);
   EXPECT_EQ(off.trace, on.trace);
   EXPECT_EQ(off.trace_summary, on.trace_summary);
-}
-
-TEST(DeterminismTest, HeapSchedulerProducesIdenticalBytes) {
-  // The legacy binary-heap scheduler and the default calendar queue must
-  // replay the same seeded workload to the byte (RING_SIM_CORE=heap is the
-  // baseline leg of BENCH_sim.json; equivalence is what makes the bench's
-  // speedup a like-for-like number).
-  const RunOutput calendar = RunFig7StyleWorkload(/*analyze_races=*/false);
-  setenv("RING_SIM_CORE", "heap", 1);
-  const RunOutput heap = RunFig7StyleWorkload(/*analyze_races=*/false);
-  unsetenv("RING_SIM_CORE");
-  EXPECT_EQ(calendar.metrics, heap.metrics);
-  EXPECT_EQ(calendar.trace, heap.trace);
-  EXPECT_EQ(calendar.trace_summary, heap.trace_summary);
-}
-
-TEST(DeterminismTest, BoxedTaskPoolProducesIdenticalBytes) {
-  // Allocator compatibility mode: routing every out-of-line capture through
-  // plain new/delete (the pre-pool behaviour) must not move a single event.
-  const RunOutput pooled = RunFig7StyleWorkload(/*analyze_races=*/false);
-  sim::TaskPool::set_boxed(true);
-  const RunOutput boxed = RunFig7StyleWorkload(/*analyze_races=*/false);
-  sim::TaskPool::set_boxed(false);
-  EXPECT_EQ(pooled.metrics, boxed.metrics);
-  EXPECT_EQ(pooled.trace, boxed.trace);
-  EXPECT_EQ(pooled.trace_summary, boxed.trace_summary);
 }
 
 TEST(DeterminismTest, MultiCoreCpuModelIsDeterministicAndRaceFree) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,54 +69,132 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_EQ(q.now(), 45u);
 }
 
-// The calendar queue and the legacy binary heap must execute any schedule
-// in exactly the same order. This mix spans all three calendar tiers (fine
-// wheel < ~2 ms, coarse wheel < ~8.6 s, overflow beyond) plus same-time
-// ties, and includes events scheduled from within far-future events — the
-// AdvanceWindow re-homing paths.
-TEST(EventQueueTest, SchedulersProduceIdenticalOrder) {
-  auto run = [](EventQueue::Mode mode) {
-    EventQueue q(mode);
-    std::vector<uint64_t> order;
-    uint64_t x = 0x9e3779b97f4a7c15ull;  // xorshift: same stream both runs
-    auto next = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    for (uint64_t i = 0; i < 200; ++i) {
-      SimTime t = 0;
-      switch (i % 4) {
-        case 0: t = next() % (2 * kMillisecond); break;
-        case 1: t = next() % (500 * kMillisecond); break;
-        case 2: t = 9 * kSecond + next() % (30 * kSecond); break;
-        default: t = 100 * kMicrosecond; break;  // ties, seq-ordered
-      }
-      q.Schedule(t, [&order, i] { order.push_back(i); });
+// Random schedules against a std::set oracle of (time, issue order). The
+// mix covers every tier (near < ~65 µs, coarse < ~268 ms, overflow beyond),
+// past times that clamp to now, same-time ties, and callbacks that schedule
+// into every tier. A sparse population keeps draining the near tier, so the
+// window keeps jumping to the next coarse or overflow event.
+class ReferenceModel {
+ public:
+  explicit ReferenceModel(uint64_t seed) : rng_(seed) {}
+
+  void Run(uint64_t initial, uint64_t limit) {
+    limit_ = limit;
+    for (uint64_t i = 0; i < initial; ++i) {
+      Add(/*from_callback=*/false);
     }
-    q.Schedule(15 * kSecond, [&q, &order] {
-      order.push_back(1000);
-      q.Schedule(q.now() + 100, [&order] { order.push_back(1001); });
-      q.Schedule(q.now() + 40 * kSecond, [&order] { order.push_back(1002); });
-    });
-    while (q.RunNext()) {
+    while (q_.RunNext()) {
     }
-    return order;
-  };
-  const std::vector<uint64_t> calendar = run(EventQueue::Mode::kCalendar);
-  const std::vector<uint64_t> heap = run(EventQueue::Mode::kHeap);
-  EXPECT_EQ(calendar.size(), 203u);
-  EXPECT_EQ(calendar, heap);
+    EXPECT_TRUE(oracle_.empty());
+    EXPECT_EQ(q_.executed(), next_id_);
+    EXPECT_EQ(next_id_, limit_);
+    for (uint64_t n : scheduled_from_callbacks_) {
+      EXPECT_GT(n, 0u);
+    }
+    EXPECT_GT(window_jumps_, 10u);
+  }
+
+ private:
+  enum Kind { kNear, kTie, kPast, kCoarse, kOverflow, kNumKinds };
+
+  uint64_t Next() {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return rng_;
+  }
+
+  void Add(bool from_callback) {
+    const Kind kind = static_cast<Kind>(Next() % kNumKinds);
+    const SimTime now = q_.now();
+    SimTime t = now;
+    switch (kind) {
+      case kNear: t = now + Next() % (60 * kMicrosecond); break;
+      // Quantized to 1 µs so several events share a time.
+      case kTie: t = now + (Next() % 4) * kMicrosecond; break;
+      case kPast:
+        t = now - std::min<SimTime>(now, Next() % kMillisecond);
+        break;
+      case kCoarse:
+        t = now + 70 * kMicrosecond + Next() % (250 * kMillisecond);
+        break;
+      default: t = now + 300 * kMillisecond + Next() % (30 * kSecond); break;
+    }
+    if (from_callback) {
+      ++scheduled_from_callbacks_[kind];
+    }
+    const uint64_t id = next_id_++;
+    oracle_.emplace(std::max(t, now), id);
+    q_.Schedule(t, [this, id] { Fire(id); });
+  }
+
+  void Fire(uint64_t id) {
+    ASSERT_FALSE(oracle_.empty());
+    EXPECT_EQ(*oracle_.begin(), std::make_pair(q_.now(), id));
+    oracle_.erase(oracle_.begin());
+    if (q_.now() >= last_ + 100 * kMicrosecond) {  // over a whole window
+      ++window_jumps_;
+    }
+    last_ = q_.now();
+    const uint64_t children = Next() % 4 == 0 ? 2 : 1;
+    for (uint64_t i = 0; i < children && next_id_ < limit_; ++i) {
+      Add(/*from_callback=*/true);
+    }
+  }
+
+  EventQueue q_;
+  std::set<std::pair<SimTime, uint64_t>> oracle_;
+  uint64_t rng_;
+  uint64_t next_id_ = 0;
+  uint64_t limit_ = 0;
+  SimTime last_ = 0;
+  uint64_t window_jumps_ = 0;
+  std::array<uint64_t, kNumKinds> scheduled_from_callbacks_{};
+};
+
+TEST(EventQueueTest, MatchesReferenceModel) {
+  for (uint64_t seed : {0x9e3779b97f4a7c15ull, 0x2545f4914f6cdd1dull, 7ull}) {
+    ReferenceModel model(seed);
+    model.Run(/*initial=*/50, /*limit=*/20'000);
+  }
+}
+
+// Runs the frontier delivery (candidates[0]) every time.
+class FrontierFirst : public ScheduleController {
+ public:
+  Decision Choose(const std::vector<DeliveryChoice>&) override {
+    return Decision{};
+  }
+};
+
+TEST(EventQueueTest, ControllerSeesCoarseTimersAheadOfDeliveries) {
+  // With the near tier empty, an untagged coarse timer that precedes the
+  // earliest tagged delivery runs first; a delivery that precedes it runs
+  // first, and near-future work it schedules still beats the timer.
+  EventQueue q;
+  FrontierFirst controller;
+  q.set_controller(&controller, /*reorder_window_ns=*/100);
+  std::vector<int> order;
+  q.Schedule(100 * kMillisecond, [&] { order.push_back(2); });
+  q.ScheduleTagged(150 * kMillisecond, [&] { order.push_back(3); }, 1);
+  q.ScheduleTagged(50 * kMillisecond, [&] {
+    order.push_back(0);
+    q.Schedule(q.now() + 500, [&] { order.push_back(1); });
+  }, 2);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.now(), 150 * kMillisecond);
+  q.set_controller(nullptr, 0);
 }
 
 TEST(EventQueueTest, CoarseAndOverflowTiersRunInOrder) {
-  EventQueue q(EventQueue::Mode::kCalendar);
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(20 * kSecond, [&] { order.push_back(4); });   // overflow tier
   q.Schedule(100 * kMillisecond, [&] { order.push_back(2); });  // coarse
-  q.Schedule(kMicrosecond, [&] { order.push_back(1); });        // fine wheel
-  q.Schedule(5 * kSecond, [&] { order.push_back(3); });         // coarse
+  q.Schedule(kMicrosecond, [&] { order.push_back(1); });        // near heap
+  q.Schedule(250 * kMillisecond, [&] { order.push_back(3); });  // coarse
   while (q.RunNext()) {
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
@@ -125,7 +205,7 @@ TEST(EventQueueTest, CoarseAndOverflowTiersRunInOrder) {
 TEST(EventQueueTest, FarFutureEventCanScheduleNearFuture) {
   // After the window jumps to an overflow event, newly scheduled
   // microsecond-scale work must still run before parked coarse timers.
-  EventQueue q(EventQueue::Mode::kCalendar);
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(10 * kSecond, [&] {
     order.push_back(1);

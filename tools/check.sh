@@ -19,9 +19,8 @@
 #                             # plain and ASan, rebalance bench, ringctl
 #                             # cluster smoke
 #   tools/check.sh --perf     # simulator fast path: scheduler/pool/shard
-#                             # equivalence tests, sim_core quick bench
-#                             # (calendar+pool vs legacy heap), simstats
-#                             # smoke
+#                             # unit tests, determinism gates, sim_core
+#                             # quick bench, simstats smoke
 #   tools/check.sh --mc       # schedule-space model checker: mc_test (DPOR,
 #                             # shrinker, replay), then per known-bug
 #                             # scenario: rediscover with the bug injected
@@ -142,9 +141,9 @@ if [[ "${MODE}" == "--perf" ]]; then
     --target sim_test determinism_test sim_core ringctl
   echo "== perf: scheduler/pool/shard unit tests =="
   ./build/tests/sim_test
-  echo "== perf: cross-scheduler byte-identity gate =="
+  echo "== perf: determinism gates (same seed, same bytes) =="
   ./build/tests/determinism_test
-  echo "== perf: sim_core quick bench (calendar+pool vs legacy heap) =="
+  echo "== perf: sim_core quick bench (synthetic scheduler loop) =="
   ./build/bench/sim_core --quick | tee /tmp/BENCH_sim.json
   echo "== perf: ringctl simstats smoke =="
   ./build/tools/ringctl simstats --reps=200 --cores-per-node=2 >/dev/null

@@ -1,5 +1,6 @@
 #include "src/consensus/membership.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/common/logging.h"
@@ -40,17 +41,12 @@ void MembershipGroup::Start() {
   assert(!started_);
   started_ = true;
   auto* simulator = fabric_->simulator();
-  if (simulator->params().fast_failover) {
-    // Arm the §16 fast path: operations bouncing off dead or revoked peers
-    // NACK back to their issuer, and the NACKs feed suspicion reports into
-    // revoke-then-promote. The heartbeat machinery below stays armed as the
-    // slow-path backstop.
-    fast_armed_ = true;
-    fabric_->set_nack_handler(
-        [this](net::NodeId issuer, net::NodeId dst, bool permission_revoked) {
-          OnTransportNack(issuer, dst, permission_revoked);
-        });
-  }
+  // §16: operations bouncing off dead or revoked peers NACK back to their
+  // issuer, and the NACKs feed suspicion into revoke-then-promote.
+  fabric_->set_nack_handler(
+      [this](net::NodeId issuer, net::NodeId dst, bool permission_revoked) {
+        OnTransportNack(issuer, dst, permission_revoked);
+      });
   for (auto& agent : agents_) {
     const net::NodeId id = agent->id;
     agent->last_leader_seen = simulator->now();
@@ -223,7 +219,7 @@ void MembershipGroup::LeaderCheck(net::NodeId node) {
       continue;
     }
     if (simulator->now() - agent.last_seen[peer] > timeout) {
-      HandleNodeFailure(node, peer);
+      RevokeRound(node, peer, /*takeover=*/false);
     }
   }
 }
@@ -239,12 +235,12 @@ void MembershipGroup::FollowerCheck(net::NodeId node) {
   if (simulator->now() - agent.last_leader_seen <= timeout) {
     return;
   }
-  TakeOver(node);
+  RevokeRound(node, agent.config.leader, /*takeover=*/true);
 }
 
-// The leader is silent (or known dead): this node assumes leadership. Only
-// safe to call when no live lower-id node exists in `node`'s view (they
-// would have preempted it already).
+// The leader is silent (or known dead) and fenced: this node assumes
+// leadership. Only safe to call when no live lower-id node exists in
+// `node`'s view (they would have preempted it already).
 void MembershipGroup::TakeOver(net::NodeId node) {
   Agent& agent = *agents_[node];
   auto* simulator = fabric_->simulator();
@@ -252,13 +248,10 @@ void MembershipGroup::TakeOver(net::NodeId node) {
   // If the dead leader held a slot (or still backs the previous shape of an
   // in-flight resize), promote a spare into it.
   const int32_t spare = agent.config.FindSpare();
-  if (!agent.config.failed[old_leader] &&
-      agent.config.slot_of_node[old_leader] != kSpareSlot && spare >= 0) {
+  if (agent.config.slot_of_node[old_leader] != kSpareSlot && spare >= 0) {
     agent.config.Promote(old_leader, static_cast<net::NodeId>(spare));
-  } else if (!agent.config.failed[old_leader]) {
-    agent.config.MarkFailed(old_leader);
   } else {
-    ++agent.config.epoch;
+    agent.config.MarkFailed(old_leader);
   }
   agent.config.leader = node;
   agent.is_leader = true;
@@ -310,14 +303,10 @@ void MembershipGroup::BroadcastConfig(net::NodeId leader) {
     if (peer == leader) {
       continue;
     }
-    // §16: under fast failover a fenced-but-live peer must still hear the
-    // epoch bump — revocation only cuts its write path, and without the new
-    // config it would keep serving reads for a slot it no longer owns until
+    // §16: a fenced-but-live peer must still hear the epoch bump —
+    // revocation only cuts its write path, and without the new config it
+    // would keep serving reads for a slot it no longer owns until
     // readmission (ms away). Sends to genuinely dead peers just NACK back.
-    // Legacy mode keeps skipping failed peers (byte-identical schedules).
-    if (config.failed[peer] && !fast_armed_) {
-      continue;
-    }
     fabric_->Send(leader, peer, kConfigBytes,
                   [this, peer, config] { ApplyConfig(peer, config); });
   }
@@ -336,15 +325,13 @@ void MembershipGroup::ApplyConfig(net::NodeId node,
   agent.config = config;
   agent.is_leader = (config.leader == node);
   agent.last_leader_seen = fabric_->simulator()->now();
-  if (fast_armed_) {
-    // Readmission restores permissions: any member the adopted config shows
-    // live again regains its queue pairs at this node. (A node the config
-    // still marks failed stays fenced — its stale-lease writes keep NACKing
-    // until a leader readmits it.)
-    for (net::NodeId f = 0; f < num_members(); ++f) {
-      if (!config.failed[f]) {
-        fabric_->Restore(node, f);
-      }
+  // Readmission restores permissions: any member the adopted config shows
+  // live again regains its queue pairs at this node. (A node the config
+  // still marks failed stays fenced — its stale-lease writes keep NACKing
+  // until a leader readmits it.)
+  for (net::NodeId f = 0; f < num_members(); ++f) {
+    if (!config.failed[f]) {
+      fabric_->Restore(node, f);
     }
   }
   if (on_config_) {
@@ -358,33 +345,15 @@ void MembershipGroup::InjectFailure(net::NodeId victim) {
 
 void MembershipGroup::ForceDetect(net::NodeId victim) {
   fabric_->Kill(victim);
-  if (fast_armed_) {
-    // Fig. 12 / Fig. 16 bench aid composes with §16: the "immediate
-    // detection" becomes an immediate suspicion report, and the failure is
-    // handled by revoke-then-promote instead of the legacy direct call.
-    ReportSuspect(victim);
-    return;
-  }
-  net::NodeId leader = CurrentLeader();
-  if (leader == victim) {
-    // The victim led the cluster: the lowest live member detects the death
-    // and takes over immediately (the election outcome, without waiting for
-    // the ranked timeout).
-    for (net::NodeId n = 0; n < num_members(); ++n) {
-      if (n != victim && fabric_->alive(n) && !agents_[n]->config.failed[n]) {
-        TakeOver(n);
-        return;
-      }
-    }
-    return;
-  }
-  HandleNodeFailure(leader, victim);
+  // The "immediate detection" is an immediate suspicion report; the failure
+  // is handled by revoke-then-promote like any other.
+  ReportSuspect(victim);
 }
 
-// ---- Fast failover (§16): lease revocation + witness promotion ------------
+// ---- Revoke-then-promote (§16): lease revocation + witness promotion -------
 
 void MembershipGroup::ReportSuspect(net::NodeId suspect) {
-  if (!fast_armed_ || suspect >= num_members()) {
+  if (suspect >= num_members()) {
     return;
   }
   const net::NodeId leader = CurrentLeader();
@@ -404,9 +373,6 @@ void MembershipGroup::ReportSuspect(net::NodeId suspect) {
 
 void MembershipGroup::OnTransportNack(net::NodeId observer, net::NodeId dst,
                                       bool permission_revoked) {
-  if (!fast_armed_) {
-    return;
-  }
   if (permission_revoked) {
     // The observer's own permissions were revoked at `dst`: its write lease
     // is gone and the cluster has (or is about to have) moved on without it.
@@ -428,6 +394,18 @@ void MembershipGroup::OnTransportNack(net::NodeId observer, net::NodeId dst,
     return;  // clients are not failover subjects
   }
   if (observer < num_members()) {
+    if (!fabric_->alive(dst)) {
+      // A dead witness can ack nothing: it counts as fenced in every round
+      // the observer has open, so a revocation it NACKed never wedges one.
+      std::vector<net::NodeId> victims;
+      for (auto it = rounds_.lower_bound(RoundKey(observer, 0));
+           it != rounds_.end() && it->first >> 32 == observer; ++it) {
+        victims.push_back(static_cast<net::NodeId>(it->first));
+      }
+      for (const net::NodeId victim : victims) {
+        WitnessFenced(observer, victim, dst);
+      }
+    }
     HandleSuspicion(observer, dst);
     return;
   }
@@ -444,7 +422,7 @@ void MembershipGroup::OnTransportNack(net::NodeId observer, net::NodeId dst,
 }
 
 void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
-  if (!fast_armed_ || member >= num_members() || suspect >= num_members()) {
+  if (member >= num_members() || suspect >= num_members()) {
     return;
   }
   if (!fabric_->alive(member) || fabric_->paused(member)) {
@@ -458,7 +436,7 @@ void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
   if (suspect == leader) {
     const net::NodeId cand = TakeoverCandidate(member, suspect);
     if (cand == member) {
-      FastTakeOver(member, suspect);
+      RevokeRound(member, suspect, /*takeover=*/true);
     } else if (cand < num_members()) {
       fabric_->Send(member, cand, kHeartbeatBytes,
                     [this, cand, suspect] { HandleSuspicion(cand, suspect); });
@@ -466,7 +444,7 @@ void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
     return;
   }
   if (agent.is_leader) {
-    FastHandleFailure(member, suspect);
+    RevokeRound(member, suspect, /*takeover=*/false);
   } else {
     // Relay to the leader. If the leader is dead too, this Send bounces and
     // the resulting NACK re-enters HandleSuspicion with the leader as the
@@ -476,91 +454,70 @@ void MembershipGroup::HandleSuspicion(net::NodeId member, net::NodeId suspect) {
   }
 }
 
-void MembershipGroup::FastHandleFailure(net::NodeId leader,
-                                        net::NodeId victim) {
-  Agent& agent = *agents_[leader];
-  if (agent.config.failed[victim]) {
-    return;
-  }
-  if (!fast_inflight_.insert(RoundKey(leader, victim)).second) {
-    return;  // a dead node NACKs every probe; one round handles them all
-  }
-  auto* simulator = fabric_->simulator();
-  const sim::SimTime t0 = simulator->now();
-  simulator->hub().recorder().Record(obs::RecKind::kFault, "fast_revoke",
-                                     leader, 0, victim);
-  const std::vector<net::NodeId> witnesses =
-      WitnessesOf(agent.config, victim);
-  RING_LOG(kInfo) << "leader " << leader << " fast-fails node " << victim
-                  << " (revoking at " << witnesses.size() << " witnesses)";
-  if (witnesses.empty()) {
-    FinishFastRound(leader, victim, /*takeover=*/false, t0);
-    return;
-  }
-  auto remaining =
-      std::make_shared<uint32_t>(static_cast<uint32_t>(witnesses.size()));
-  for (const net::NodeId w : witnesses) {
-    ++revocations_issued_;
-    net::Fabric* fabric = fabric_;
-    fabric_->Write(
-        leader, w, kRevokeBytes,
-        /*apply=*/[fabric, w, victim] { fabric->Revoke(w, victim); },
-        /*on_complete=*/[this, leader, victim, remaining, t0] {
-          if (--*remaining == 0) {
-            FinishFastRound(leader, victim, /*takeover=*/false, t0);
-          }
-        });
-  }
-}
-
-void MembershipGroup::FastTakeOver(net::NodeId node, net::NodeId old_leader) {
-  Agent& agent = *agents_[node];
-  if (agent.config.leader != old_leader || agent.config.failed[old_leader]) {
+void MembershipGroup::RevokeRound(net::NodeId actor, net::NodeId victim,
+                                  bool takeover) {
+  Agent& agent = *agents_[actor];
+  if (agent.config.failed[victim] ||
+      (takeover && agent.config.leader != victim)) {
     return;  // the view moved on while the evidence was in flight
   }
-  if (!fast_inflight_.insert(RoundKey(node, old_leader)).second) {
-    return;
-  }
   auto* simulator = fabric_->simulator();
-  const sim::SimTime t0 = simulator->now();
+  const sim::SimTime now = simulator->now();
+  auto [it, fresh] = rounds_.try_emplace(RoundKey(actor, victim));
+  if (!fresh &&
+      now - it->second.t0 <= simulator->params().failure_timeout_ns) {
+    return;  // a dead node NACKs every probe; one round handles them all
+  }
+  Round& round = it->second;
+  round.t0 = now;
+  round.takeover = takeover;
+  round.unfenced = WitnessesOf(agent.config, victim);
   simulator->hub().recorder().Record(obs::RecKind::kFault, "fast_revoke",
-                                     node, 0, old_leader);
-  const std::vector<net::NodeId> witnesses =
-      WitnessesOf(agent.config, old_leader);
-  RING_LOG(kInfo) << "node " << node << " fast-takeover from dead leader "
-                  << old_leader << " (revoking at " << witnesses.size()
-                  << " witnesses)";
-  if (witnesses.empty()) {
-    FinishFastRound(node, old_leader, /*takeover=*/true, t0);
+                                     actor, 0, victim);
+  RING_LOG(kInfo) << "node " << actor << " revokes "
+                  << (takeover ? "its leader " : "node ") << victim << " at "
+                  << round.unfenced.size() << " witnesses";
+  if (round.unfenced.empty()) {
+    FinishRound(actor, victim);
     return;
   }
-  auto remaining =
-      std::make_shared<uint32_t>(static_cast<uint32_t>(witnesses.size()));
-  for (const net::NodeId w : witnesses) {
+  for (const net::NodeId w : round.unfenced) {
     ++revocations_issued_;
     net::Fabric* fabric = fabric_;
     fabric_->Write(
-        node, w, kRevokeBytes,
-        /*apply=*/[fabric, w, old_leader] { fabric->Revoke(w, old_leader); },
-        /*on_complete=*/[this, node, old_leader, remaining, t0] {
-          if (--*remaining == 0) {
-            FinishFastRound(node, old_leader, /*takeover=*/true, t0);
-          }
-        });
+        actor, w, kRevokeBytes,
+        /*apply=*/[fabric, w, victim] { fabric->Revoke(w, victim); },
+        /*on_complete=*/
+        [this, actor, victim, w] { WitnessFenced(actor, victim, w); });
   }
 }
 
-void MembershipGroup::FinishFastRound(net::NodeId actor, net::NodeId victim,
-                                      bool takeover, sim::SimTime t0) {
-  fast_inflight_.erase(RoundKey(actor, victim));
+void MembershipGroup::WitnessFenced(net::NodeId actor, net::NodeId victim,
+                                    net::NodeId w) {
+  auto it = rounds_.find(RoundKey(actor, victim));
+  if (it == rounds_.end()) {
+    return;  // a straggler completion of a finished round
+  }
+  std::vector<net::NodeId>& unfenced = it->second.unfenced;
+  unfenced.erase(std::remove(unfenced.begin(), unfenced.end(), w),
+                 unfenced.end());
+  if (unfenced.empty()) {
+    FinishRound(actor, victim);
+  }
+}
+
+void MembershipGroup::FinishRound(net::NodeId actor, net::NodeId victim) {
+  auto it = rounds_.find(RoundKey(actor, victim));
+  const Round round = std::move(it->second);
+  rounds_.erase(it);
   if (!fabric_->alive(actor)) {
-    return;  // the actor died mid-round; the heartbeat backstop covers it
+    return;  // the actor died mid-round; another member's suspicion covers it
   }
   Agent& agent = *agents_[actor];
   if (agent.config.failed[victim] || agent.config.failed[actor]) {
-    return;  // the slow path (or another actor) won the race
+    return;  // another actor won the race, or this one was fenced itself
   }
-  if (takeover) {
+  if (round.takeover) {
     if (agent.config.leader != victim) {
       return;
     }
@@ -573,15 +530,15 @@ void MembershipGroup::FinishFastRound(net::NodeId actor, net::NodeId victim,
   }
   ++fast_failovers_;
   auto* simulator = fabric_->simulator();
-  last_fast_failover_ns_ = simulator->now() - t0;
+  last_fast_failover_ns_ = simulator->now() - round.t0;
   obs::Hub& hub = simulator->hub();
   hub.recorder().Record(obs::RecKind::kFault, "fast_promote", actor, 0,
-                        victim, simulator->now() - t0);
+                        victim, last_fast_failover_ns_);
   if (hub.metrics_enabled()) {
     hub.metrics().Inc("failover.fast", 1, actor);
   }
-  RING_LOG(kInfo) << "fast failover of node " << victim << " completed in "
-                  << (simulator->now() - t0) << " ns";
+  RING_LOG(kInfo) << "failover of node " << victim << " completed in "
+                  << last_fast_failover_ns_ << " ns";
 }
 
 std::vector<net::NodeId> MembershipGroup::WitnessesOf(

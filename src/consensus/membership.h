@@ -1,18 +1,19 @@
 // Membership, failure detection, leader election, and configuration
 // replication (paper §5.5).
 //
-// Simplified DARE-style replicated state machine: the leader broadcasts
-// heartbeats and collects heartbeats from every node; a node silent for
-// `failure_timeout` is declared failed, a spare is promoted into its slot
-// and the new configuration epoch is replicated to all live nodes (majority
-// acknowledged). If the leader dies, the live node with the lowest id takes
-// over after a ranked timeout and replicates a new epoch.
+// Simplified DARE-style replicated state machine with one reconfiguration
+// path (DESIGN.md §16): every suspicion — a fabric NACK, a heartbeat timeout
+// or an external ReportSuspect — feeds one revoke-then-promote round. The
+// acting node revokes the suspect's write permissions at its redundancy
+// witnesses with one-sided ops, then bumps the epoch, promotes a spare into
+// the suspect's slot (or takes over a dead leader's role) and replicates the
+// new configuration to every member.
 #ifndef RING_SRC_CONSENSUS_MEMBERSHIP_H_
 #define RING_SRC_CONSENSUS_MEMBERSHIP_H_
 
 #include <functional>
 #include <memory>
-#include <set>
+#include <map>
 #include <vector>
 
 #include "src/consensus/config.h"
@@ -48,7 +49,7 @@ class MembershipGroup {
   void SetOnConfig(ConfigCallback cb) { on_config_ = std::move(cb); }
 
   // Fail-stop injection: kills the node on the fabric. Detection happens via
-  // missed heartbeats.
+  // NACKed operations or missed heartbeats.
   void InjectFailure(net::NodeId victim);
 
   // Crash-recovery: `node` restarted memory-less (fabric already revived).
@@ -63,31 +64,25 @@ class MembershipGroup {
   // stall it just experienced is not misread as everyone else's silence.
   void NoteResumed(net::NodeId node);
 
-  // Benchmark aid: makes the leader handle `victim`'s death immediately,
-  // bypassing the heartbeat timeout (Fig. 12 measures recovery from the
-  // moment of detection). With `SimParams::fast_failover` set the handling
-  // routes through revoke-then-promote (the fabric NACK path would have
-  // reported the death anyway); with it off, the legacy immediate-promotion
-  // path runs untouched.
+  // Benchmark aid: kills `victim` and reports it at once, bypassing the
+  // heartbeat timeout (Fig. 12 measures recovery from the moment of
+  // detection); the failure is handled by a revoke-then-promote round.
   void ForceDetect(net::NodeId victim);
 
-  // --- Fast failover (§16): lease revocation + witness promotion -----------
+  // --- Revoke-then-promote (§16): lease revocation + witness promotion -----
   // External suspicion entry point (chaos `revoke` directive, tests): treat
   // `suspect` as failed *now* — the leader revokes its write permissions at
   // its redundancy witnesses with one-sided ops, bumps the epoch and
   // promotes a spare, whether or not the suspect is actually dead (a false
   // suspicion fences a live node out: its stale-lease writes NACK, and it
-  // re-enters through the normal readmission petition). No-op unless
-  // SimParams::fast_failover armed the path.
+  // re-enters through the normal readmission petition).
   void ReportSuspect(net::NodeId suspect);
 
-  // True when Start() armed the revoke-then-promote path.
-  bool fast_failover_armed() const { return fast_armed_; }
-  // Fast reconfigurations completed (revoke round -> promotion).
+  // Revoke rounds completed (revocations -> promotion). The `fast_` names
+  // are kept stable for telemetry consumers.
   uint64_t fast_failovers() const { return fast_failovers_; }
   // Span of the last completed revoke round, first revocation issued to
-  // promotion applied (ns). The µs-scale number Fig. 12-style benches
-  // compare against the legacy heartbeat-timeout path.
+  // promotion applied (ns).
   uint64_t last_fast_failover_ns() const { return last_fast_failover_ns_; }
   // One-sided revocation operations issued by leaders/witness candidates.
   uint64_t revocations_issued() const { return revocations_issued_; }
@@ -128,7 +123,6 @@ class MembershipGroup {
   void BroadcastConfig(net::NodeId leader);
   void ApplyConfig(net::NodeId node, const ClusterConfig& config);
 
-  // ---- fast failover internals (§16) ----
   // Fabric NACK observer: `observer`'s operation bounced off `dst`.
   void OnTransportNack(net::NodeId observer, net::NodeId dst,
                        bool permission_revoked);
@@ -136,16 +130,18 @@ class MembershipGroup {
   // relay it towards whoever can (the leader, or the takeover candidate
   // when the leader itself is the suspect).
   void HandleSuspicion(net::NodeId member, net::NodeId suspect);
-  // Leader-side revoke-then-promote: one one-sided revocation per witness,
-  // then the epoch bump + spare promotion of HandleNodeFailure.
-  void FastHandleFailure(net::NodeId leader, net::NodeId victim);
-  // Leader-death fast path: `node` (the designated takeover candidate)
-  // revokes the dead leader's permissions at its witnesses, then TakeOver.
-  void FastTakeOver(net::NodeId node, net::NodeId old_leader);
-  // Second phase of either fast path, entered once every witness completion
-  // arrived. `t0` is the revoke-round start (failover span bookkeeping).
-  void FinishFastRound(net::NodeId actor, net::NodeId victim, bool takeover,
-                       sim::SimTime t0);
+  // The one reconfiguration round: `actor` revokes `victim` at each of its
+  // witnesses with a one-sided write, and once every witness is fenced it
+  // promotes — HandleNodeFailure as the leader, or TakeOver when `takeover`
+  // (the victim is the actor's leader). A round still open after
+  // failure_timeout_ns (a revocation lost to a partition, or an actor that
+  // died mid-round) is restarted by the next suspicion.
+  void RevokeRound(net::NodeId actor, net::NodeId victim, bool takeover);
+  // Witness `w` of `actor`'s round against `victim` is fenced: its
+  // revocation completed, or a NACK showed it dead.
+  void WitnessFenced(net::NodeId actor, net::NodeId victim, net::NodeId w);
+  // Second phase of a round, entered once every witness is fenced.
+  void FinishRound(net::NodeId actor, net::NodeId victim);
   // Redundancy witnesses of `victim` under `config`: the nodes whose
   // completion queues every commit quorum of the victim intersects. For a
   // coordinator these are the d redundant-slot nodes of its group(s) (2
@@ -162,11 +158,17 @@ class MembershipGroup {
   ConfigCallback on_config_;
   uint64_t config_changes_ = 0;
   bool started_ = false;
-  // ---- fast failover state ----
-  bool fast_armed_ = false;
-  // In-flight revoke rounds, keyed (actor << 32) | victim: dedups the NACK
-  // storm a dead node causes (every probe bounces) into one round.
-  std::set<uint64_t> fast_inflight_;
+  // An open revoke round: its start time, its kind and the witnesses whose
+  // revocation has not completed yet.
+  struct Round {
+    sim::SimTime t0 = 0;
+    bool takeover = false;
+    std::vector<net::NodeId> unfenced;
+  };
+  // Open rounds, keyed (actor << 32) | victim: dedups the NACK storm a dead
+  // node causes (every probe bounces) into one round. Ordered, so the rounds
+  // of one actor are a contiguous range.
+  std::map<uint64_t, Round> rounds_;
   uint64_t fast_failovers_ = 0;
   uint64_t last_fast_failover_ns_ = 0;
   uint64_t revocations_issued_ = 0;

@@ -91,8 +91,8 @@ class Fabric {
   // peer is unreachable" (grounds to suspect the peer) from "my own
   // permissions were revoked there" (the issuer is the suspect and must not
   // counter-suspect the witness). Null (the default) restores the seed's
-  // silent-drop semantics — no extra events, byte-identical schedules; only
-  // the fast-failover path installs one.
+  // silent-drop semantics — no extra events; MembershipGroup::Start
+  // installs one.
   // Cold control-plane hook: invoked once per NACK (fabric rejections only),
   // never on the per-delivery fast path, so the general-heap capture box
   // never touches the pooled sim::Task allocator's hot loop.

@@ -1482,11 +1482,15 @@ void RingServer::HandleMove(MoveRequest req) {
             ShardStore& store = StoreOf(StateOf(*src), shard, geom);
             // Validate-and-retry, as in the get path: the source version may
             // have been garbage-collected (region reused) while the copy was
-            // queued. Restart the move against the current highest version.
+            // queued, or a put may have taken a newer version meanwhile —
+            // copying the old bytes above it would silently undo that acked
+            // put. Restart the move against the current highest version.
             const MetaEntry* live =
                 store.meta.Find(req.key_hash, req.key, src_version);
+            const auto newest = volatile_index_.Highest(req.key_hash, req.key);
             if (live == nullptr || live->tombstone || !live->data_present ||
-                live->addr != addr) {
+                live->addr != addr || !newest.has_value() ||
+                newest->version != src_version) {
               ++counters_.op_restarts;
               hub().metrics().Inc("server.op_restarts", 1, id_);
               hub().recorder().Record(obs::RecKind::kRestart, "move_restart",

@@ -42,14 +42,11 @@ void RingServer::OnConfig(const consensus::ClusterConfig& config) {
     // rejoin transition below.
     serving_ = false;
     excluded_ = true;
-    if (rt_->options().params.fast_failover) {
-      // §16: fenced while live. Every redundancy append or ack this node
-      // could still send NACKs at the witnesses, so its in-flight quorum
-      // rounds are permanently stuck — abandon them instead of letting the
-      // wedged-write probe count zombies. (Legacy mode keeps them: without
-      // fabric fencing a straggler round may still complete and reply.)
-      AbandonPendingWrites();
-    }
+    // §16: fenced while live. Every redundancy append or ack this node
+    // could still send NACKs at the witnesses, so its in-flight quorum
+    // rounds are permanently stuck — abandon them instead of letting the
+    // wedged-write probe count zombies.
+    AbandonPendingWrites();
     return;
   }
   const bool readmitted = excluded_;

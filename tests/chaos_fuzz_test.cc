@@ -87,12 +87,13 @@ struct ChaosDigest {
   }
 };
 
+// The two plan shapes every chaos seed runs under. Failures are handled by
+// revoke-then-promote in both; kRevokes adds random false-suspicion
+// `revoke` events to the plan and reads with ν = 3 non-blocking gets.
+enum class ChaosPlan { kStrongReads, kRevokes };
+
 // One full chaos run: random plan + random traffic + oracles + final sweep.
-// With `fast_failover` the §16 stack is armed end to end: lease-revocation
-// reconfiguration, random false-suspicion `revoke` events in the plan, and
-// non-blocking multiversion gets. The default (false) leg stays byte-
-// identical to pre-§16 builds.
-ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
+ChaosDigest RunChaos(uint64_t seed, ChaosPlan plan = ChaosPlan::kStrongReads) {
   RingOptions options;
   options.s = 3;
   options.d = 2;
@@ -110,8 +111,7 @@ ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
   shape.quiet_after_ns = 40 * sim::kMillisecond;
   shape.link_faults = 4;
   shape.node_events = 2;
-  if (fast_failover) {
-    options.params.fast_failover = true;
+  if (plan == ChaosPlan::kRevokes) {
     options.multiversion_depth = 3;
     // False suspicions consume spare capacity like crashes; tell the
     // generator so the budget never exceeds what promotions can absorb.
@@ -120,8 +120,9 @@ ChaosDigest RunChaos(uint64_t seed, bool fast_failover = false) {
   }
   options.fault_plan = fault::RandomFaultPlan(seed * 31 + 7, shape);
   options.fault_seed = seed;
-  const ReadMode read_mode =
-      fast_failover ? ReadMode::kNonBlocking : ReadMode::kStrong;
+  const ReadMode read_mode = plan == ChaosPlan::kRevokes
+                                ? ReadMode::kNonBlocking
+                                : ReadMode::kStrong;
 
   RingCluster cluster(options);
   obs::Hub& hub = cluster.simulator().hub();
@@ -348,42 +349,40 @@ TEST(ChaosReplayTest, SameSeedReplaysByteIdentically) {
   }
 }
 
-// §16 fast-failover chaos: the same oracles under lease-revocation
-// reconfiguration, random false-suspicion revokes, and non-blocking
-// multiversion reads — all in one armed stack.
-class ChaosFastFailoverFuzzTest : public ::testing::TestWithParam<uint64_t> {
-};
+// §16 revoke chaos: the same oracles under random false-suspicion revokes
+// and non-blocking multiversion reads.
+class ChaosRevokeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ChaosFastFailoverFuzzTest, OraclesHoldWithFastFailoverArmed) {
-  const ChaosDigest d = RunChaos(GetParam(), /*fast_failover=*/true);
+TEST_P(ChaosRevokeFuzzTest, OraclesHoldUnderRevokesAndNonBlockingReads) {
+  const ChaosDigest d = RunChaos(GetParam(), ChaosPlan::kRevokes);
   EXPECT_EQ(d.oracle_violations, 0u);
   EXPECT_FALSE(d.outcomes.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, ChaosFastFailoverFuzzTest,
+    Seeds, ChaosRevokeFuzzTest,
     ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL, 7ULL, 8ULL, 9ULL,
                       10ULL, 33ULL, 77ULL),
     [](const ::testing::TestParamInfo<uint64_t>& info) {
       return "seed" + std::to_string(info.param);
     });
 
-// The §16 machinery (revocations included) is as deterministic as the rest:
-// same seed, byte-identical fast-mode replay.
-TEST(ChaosFastFailoverReplayTest, SameSeedReplaysByteIdentically) {
+// Plan-injected revocations are as deterministic as the rest: same seed,
+// byte-identical replay.
+TEST(ChaosRevokeReplayTest, SameSeedReplaysByteIdentically) {
   for (uint64_t seed : {2ULL, 9ULL}) {
-    const ChaosDigest first = RunChaos(seed, /*fast_failover=*/true);
-    const ChaosDigest again = RunChaos(seed, /*fast_failover=*/true);
+    const ChaosDigest first = RunChaos(seed, ChaosPlan::kRevokes);
+    const ChaosDigest again = RunChaos(seed, ChaosPlan::kRevokes);
     EXPECT_TRUE(first == again)
-        << "seed " << seed << " diverged on fast-mode replay";
+        << "seed " << seed << " diverged on revoke-plan replay";
     EXPECT_EQ(first.outcomes, again.outcomes);
   }
 }
 
-// A random plan with revocations actually exercises the fast path: at least
-// one seed-pinned run completes a revoke-then-promote round.
-TEST(ChaosFastFailoverFuzzCoverage, RevocationsDriveFastRounds) {
-  const ChaosDigest d = RunChaos(3, /*fast_failover=*/true);
+// A random plan with revocations actually exercises them: at least one
+// seed-pinned run completes a revoke-then-promote round.
+TEST(ChaosRevokeFuzzCoverage, RevocationsDriveRevokeRounds) {
+  const ChaosDigest d = RunChaos(3, ChaosPlan::kRevokes);
   EXPECT_GE(d.revocations, 1u);
   EXPECT_GE(d.fast_failovers, 1u);
 }
@@ -746,7 +745,7 @@ TEST(MembershipChaosReplayTest, SameSeedReplaysByteIdentically) {
 
 struct ScriptedElastic {
   explicit ScriptedElastic(uint64_t seed, uint32_t spares,
-                           fault::FaultPlan plan = {}, bool fast = false) {
+                           fault::FaultPlan plan = {}) {
     RingOptions o;
     o.s = 3;
     o.d = 2;
@@ -754,7 +753,6 @@ struct ScriptedElastic {
     o.clients = 1;
     o.seed = seed;
     o.fault_plan = std::move(plan);
-    o.params.fast_failover = fast;
     cluster = std::make_unique<RingCluster>(o);
     rep3 = *cluster->CreateMemgest(MemgestDescriptor::Replicated(3));
     srs32 = *cluster->CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2));
@@ -861,10 +859,10 @@ TEST(MembershipChaosScriptTest, LeaderCrashMidTransitionReanchorsAndDrains) {
 
 // Scripted §16 scenarios: lease revocation composed with the classic gray
 // failures — a partition, a gray pause, and a mid-drain rebalance. All three
-// pin the fast revoke-then-promote path deterministically and check that the
+// pin a revoke-then-promote round deterministically and check that the
 // falsely-fenced node is readmitted and no committed data is lost.
 
-TEST(FastFailoverScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
+TEST(RevokeScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
   // Node 1 is partitioned away, then revoked while unreachable. The witness
   // quorum fences it and promotes the spare without waiting out heartbeat
   // timeouts; after the heal node 1 petitions and rejoins as a spare.
@@ -872,7 +870,7 @@ TEST(FastFailoverScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
       "partition a=0,2,3,4,5,6 b=1 at=6ms heal=14ms\n"
       "revoke node=1 at=6500us\n");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ScriptedElastic e(41, /*spares=*/1, *plan, /*fast=*/true);
+  ScriptedElastic e(41, /*spares=*/1, *plan);
   e.WriteKeys(40);
   ASSERT_LT(e.cluster->simulator().now(), 6 * sim::kMillisecond)
       << "writes outran the partition window";
@@ -884,15 +882,15 @@ TEST(FastFailoverScriptTest, RevokeDuringPartitionPromotesAndReadmits) {
   e.VerifyAllKeys();
 }
 
-TEST(FastFailoverScriptTest, RevokeDuringGrayPauseFencesAndRecovers) {
+TEST(RevokeScriptTest, RevokeDuringGrayPauseFencesAndRecovers) {
   // A gray pause: node 1 is alive but unresponsive. Revocation fences it
-  // mid-pause; on resume it discovers the epoch bump (the fast path
+  // mid-pause; on resume it discovers the epoch bump (the leader
   // broadcasts config even to fenced peers) and petitions for readmission.
   auto plan = fault::ParseFaultPlan(
       "pause node=1 at=6ms resume=12ms\n"
       "revoke node=1 at=7ms\n");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ScriptedElastic e(42, /*spares=*/1, *plan, /*fast=*/true);
+  ScriptedElastic e(42, /*spares=*/1, *plan);
   e.WriteKeys(40);
   ASSERT_LT(e.cluster->simulator().now(), 6 * sim::kMillisecond)
       << "writes outran the pause window";
@@ -903,11 +901,11 @@ TEST(FastFailoverScriptTest, RevokeDuringGrayPauseFencesAndRecovers) {
   e.VerifyAllKeys();
 }
 
-TEST(FastFailoverScriptTest, RevokeMidRebalanceDrainCompletes) {
+TEST(RevokeScriptTest, RevokeMidRebalanceDrainCompletes) {
   // A source node is falsely revoked in the middle of a slow elastic drain.
-  // The fast path promotes a spare into its slot; the idempotent scan/migrate
+  // A revoke round promotes a spare into its slot; the idempotent scan/migrate
   // protocol re-drains whatever the fencing dropped and the resize completes.
-  ScriptedElastic e(43, /*spares=*/2, {}, /*fast=*/true);
+  ScriptedElastic e(43, /*spares=*/2);
   e.WriteKeys(90);
   membership::RebalanceOptions ro;
   ro.keys_per_sec = 4000.0;  // stretch the drain so the revoke lands inside

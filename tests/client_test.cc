@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/hash.h"
+#include "src/fault/fault.h"
 #include "src/ring/cluster.h"
 
 namespace ring {
@@ -146,7 +147,15 @@ TEST(ClientTest, AdminOpsThroughLeader) {
 // through all its retries (each deduped the same way) and reported a
 // spurious timeout for a move the server could have completed.
 TEST(ClientTest, DeferredRetriedMoveStillReplies) {
-  RingCluster cluster(Opts(8));
+  // Wedge the commit: the full-sync put needs an ack from its replica on
+  // node 3, and every message from coordinator 2 to node 3 is lost for the
+  // first 10 ms. A dropped message draws no NACK, so nobody suspects node 3;
+  // the append lands when a retransmit outlives the drop window.
+  RingOptions o = Opts(8);
+  auto plan = fault::ParseFaultPlan("drop src=2 dst=3 p=1 until=10ms");
+  ASSERT_TRUE(plan.ok());
+  o.fault_plan = *plan;
+  RingCluster cluster(o);
   auto fsync =
       *cluster.CreateMemgest(MemgestDescriptor::FullSyncReplicated(2));
   auto rep1 = *cluster.CreateMemgest(MemgestDescriptor::Replicated(1));
@@ -158,9 +167,6 @@ TEST(ClientTest, DeferredRetriedMoveStillReplies) {
       }
     }
   }();
-  // Wedge the commit: the full-sync put needs an ack from its replica on
-  // node 3, which is dead but not yet detected.
-  cluster.KillNode(3, /*force_detect=*/false);
   bool put_done = false;
   cluster.client(0).Put(key, std::make_shared<Buffer>(ToBuffer("wedged")),
                         fsync, [&](Status, Version) { put_done = true; });
@@ -187,15 +193,55 @@ TEST(ClientTest, DeferredRetriedMoveStillReplies) {
   // Later retries of the same request are deduplicated while it waits.
   cluster.server(2).HandleMove(req);
 
-  // Failure detection promotes the spare, the pending version commits, and
-  // the postponed move re-executes — it must reply despite having entered
-  // as a retry.
+  // The link heals, the pending version commits, and the postponed move
+  // re-executes — it must reply despite having entered as a retry.
   cluster.RunFor(150 * sim::kMillisecond);
   ASSERT_TRUE(move_done);
   EXPECT_TRUE(move_status.ok()) << move_status;
   auto got = cluster.Get(key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(ToString(*got), "wedged");
+}
+
+// Regression: a put that takes a new version while a move's copy is queued
+// must survive the move. The move used to re-check only that its source
+// version still existed, then write the old bytes at a version above the
+// put's: the put was acked and then lost.
+TEST(ClientTest, PutRacingAMoveIsNotLost) {
+  RingCluster cluster(Opts(9));
+  auto srs32 = *cluster.CreateMemgest(MemgestDescriptor::ErasureCoded(3, 2));
+  auto rep3 = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const Key key = "race";
+  ASSERT_TRUE(cluster.Put(key, MakePatternBuffer(64, 1), srs32).ok());
+
+  // The move and the put leave two clients at the same instant.
+  const Buffer fresh = MakePatternBuffer(64, 2);
+  bool move_done = false;
+  bool put_done = false;
+  Version put_version = 0;
+  cluster.client(0).Move(key, rep3, [&](Status s, Version) {
+    EXPECT_TRUE(s.ok()) << s;
+    move_done = true;
+  });
+  cluster.client(1).Put(key, std::make_shared<Buffer>(fresh), srs32,
+                        [&](Status s, Version v) {
+                          EXPECT_TRUE(s.ok()) << s;
+                          put_version = v;
+                          put_done = true;
+                        });
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return move_done && put_done; }));
+
+  // The acked put is the newest content, whichever op the server ran last.
+  GetResult got;
+  bool got_done = false;
+  cluster.client(0).Get(key, [&](GetResult r) {
+    got = std::move(r);
+    got_done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return got_done; }));
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  EXPECT_GE(got.version, put_version);
+  EXPECT_EQ(*got.data, fresh);
 }
 
 // ---- §16 multiversion retention + non-blocking reads ----

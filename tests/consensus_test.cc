@@ -5,6 +5,7 @@
 
 #include "src/consensus/config.h"
 #include "src/consensus/membership.h"
+#include "src/fault/fault.h"
 #include "src/net/fabric.h"
 #include "src/sim/simulator.h"
 
@@ -89,6 +90,8 @@ TEST_F(MembershipTest, CoordinatorFailurePromotesSpare) {
   }
   // Callbacks fired on live nodes.
   EXPECT_GE(last_config_.size(), kNodes - 1);
+  // The promotion came out of one revoke round (there is no other path).
+  EXPECT_EQ(group_.fast_failovers(), 1u);
 }
 
 TEST_F(MembershipTest, SpareFailureOnlyBumpsEpoch) {
@@ -133,31 +136,15 @@ TEST_F(MembershipTest, ForceDetectSkipsTimeout) {
   EXPECT_TRUE(group_.ConfigView(0).failed[3]);
 }
 
-// ---- §16 fast failover: revoke-then-promote ----
+// ---- §16 revoke-then-promote: the one reconfiguration path ----
 
-class FastMembershipTest : public ::testing::Test {
- protected:
-  static constexpr uint32_t kNodes = 8;
-  static sim::SimParams FastParams() {
-    sim::SimParams p;
-    p.fast_failover = true;
-    return p;
-  }
-  FastMembershipTest()
-      : simulator_(7, FastParams()), fabric_(&simulator_, kNodes),
-        group_(&fabric_, 3, 2) {}
-
-  sim::Simulator simulator_;
-  net::Fabric fabric_;
-  MembershipGroup group_;
-};
-
-TEST_F(FastMembershipTest, StartArmsTheFastPath) {
+TEST_F(MembershipTest, StartInstallsTheNackObserver) {
+  EXPECT_FALSE(fabric_.nack_armed());
   group_.Start();
-  EXPECT_TRUE(group_.fast_failover_armed());
+  EXPECT_TRUE(fabric_.nack_armed());
 }
 
-TEST_F(FastMembershipTest, ReportSuspectRevokesThenPromotesInMicroseconds) {
+TEST_F(MembershipTest, ReportSuspectRevokesThenPromotesInMicroseconds) {
   group_.Start();
   simulator_.RunUntil(20 * sim::kMillisecond);
   const sim::SimTime t0 = simulator_.now();
@@ -173,7 +160,7 @@ TEST_F(FastMembershipTest, ReportSuspectRevokesThenPromotesInMicroseconds) {
   EXPECT_GE(group_.revocations_issued(), 2u);  // one per witness, d = 2
 }
 
-TEST_F(FastMembershipTest, FalseSuspicionFencesThenReadmitsLiveNode) {
+TEST_F(MembershipTest, FalseSuspicionFencesThenReadmitsLiveNode) {
   group_.Start();
   simulator_.RunUntil(20 * sim::kMillisecond);
   const sim::SimTime t0 = simulator_.now();
@@ -191,7 +178,7 @@ TEST_F(FastMembershipTest, FalseSuspicionFencesThenReadmitsLiveNode) {
   EXPECT_EQ(c.CoordinatorOfShard(2), 5u);
 }
 
-TEST_F(FastMembershipTest, DeadLeaderNacksTriggerFastTakeOver) {
+TEST_F(MembershipTest, DeadLeaderNacksTriggerFastTakeOver) {
   group_.Start();
   simulator_.RunUntil(20 * sim::kMillisecond);
   group_.InjectFailure(0);  // the leader; no ForceDetect — NACKs report it
@@ -206,7 +193,7 @@ TEST_F(FastMembershipTest, DeadLeaderNacksTriggerFastTakeOver) {
   EXPECT_GE(group_.fast_failovers(), 1u);
 }
 
-TEST_F(FastMembershipTest, ForceDetectRoutesThroughRevokeThenPromote) {
+TEST_F(MembershipTest, ForceDetectRoutesThroughRevokeThenPromote) {
   group_.Start();
   simulator_.RunUntil(20 * sim::kMillisecond);
   group_.ForceDetect(3);
@@ -216,18 +203,65 @@ TEST_F(FastMembershipTest, ForceDetectRoutesThroughRevokeThenPromote) {
   EXPECT_GE(group_.revocations_issued(), 1u);
 }
 
-TEST_F(MembershipTest, ReportSuspectIsANoOpWhenFastPathIsOff) {
+// Regression: a revocation whose witness is dead never completes, so a
+// round that waited for it would stay open for good and dedup every later
+// suspicion of the same node. A NACK from a dead witness counts as fenced.
+TEST_F(MembershipTest, DeadWitnessCountsAsFencedAndReleasesTheRound) {
   group_.Start();
-  simulator_.RunUntil(20 * sim::kMillisecond);
-  EXPECT_FALSE(group_.fast_failover_armed());
+  simulator_.RunUntil(25 * sim::kMillisecond);
+  // Coordinator 2 and node 3, one of its two redundancy witnesses, crash
+  // together; only the coordinator is reported.
+  group_.InjectFailure(2);
+  group_.InjectFailure(3);
+  const sim::SimTime t0 = simulator_.now();
   group_.ReportSuspect(2);
+  // The revocation at node 3 NACKs: the round against 2 finishes on it, and
+  // the NACK itself makes node 3 a suspect of its own round.
+  simulator_.RunUntil(t0 + sim::kMillisecond);
+  const ClusterConfig& c = group_.ConfigView(0);
+  EXPECT_TRUE(c.failed[2]);
+  EXPECT_TRUE(c.failed[3]);
+  EXPECT_EQ(c.CoordinatorOfShard(2), 5u);
+  EXPECT_EQ(c.NodeOfSlot(3), 6u);
+  EXPECT_EQ(group_.fast_failovers(), 2u);
+
+  // Node 2 restarts and is readmitted as a spare; crashed and reported
+  // again, it goes through a fresh round (no round key is left behind).
+  fabric_.Revive(2);
+  group_.Rejoin(2);
+  simulator_.RunUntil(t0 + 50 * sim::kMillisecond);
+  ASSERT_FALSE(group_.ConfigView(0).failed[2]);
+  group_.InjectFailure(2);
+  const sim::SimTime t1 = simulator_.now();
+  group_.ReportSuspect(2);
+  simulator_.RunUntil(t1 + sim::kMillisecond);
+  EXPECT_TRUE(group_.ConfigView(0).failed[2]);
+  EXPECT_EQ(group_.fast_failovers(), 3u);
+}
+
+// A revocation lost on the wire neither completes nor NACKs. Its round must
+// not dedup every later suspicion of the victim forever: once the round is
+// older than the failure timeout, the next suspicion restarts it.
+TEST_F(MembershipTest, RoundWithALostRevocationIsRestarted) {
+  // Every message from the leader to node 3, one of coordinator 2's two
+  // witnesses, is lost for the first 30 ms.
+  auto plan = fault::ParseFaultPlan("drop src=0 dst=3 p=1 until=30ms");
+  ASSERT_TRUE(plan.ok());
+  fault::FaultInjector injector(&simulator_, kNodes, *plan, /*seed=*/1);
+  fabric_.set_injector(&injector);
+  injector.Arm();
+  group_.Start();
+  simulator_.RunUntil(25 * sim::kMillisecond);
+  group_.InjectFailure(2);
+  group_.ReportSuspect(2);
+  simulator_.RunUntil(50 * sim::kMillisecond);
+  EXPECT_FALSE(group_.ConfigView(0).failed[2]);  // still waiting on node 3
   simulator_.RunUntil(100 * sim::kMillisecond);
-  EXPECT_EQ(group_.fast_failovers(), 0u);
-  EXPECT_EQ(group_.revocations_issued(), 0u);
-  for (uint32_t n = 0; n < kNodes; ++n) {
-    EXPECT_EQ(group_.ConfigView(n).epoch, 1u);
-    EXPECT_FALSE(group_.ConfigView(n).failed[2]);
-  }
+  const ClusterConfig& c = group_.ConfigView(0);
+  EXPECT_TRUE(c.failed[2]);
+  EXPECT_EQ(c.CoordinatorOfShard(2), 5u);
+  EXPECT_EQ(group_.fast_failovers(), 1u);
+  fabric_.set_injector(nullptr);
 }
 
 TEST_F(MembershipTest, CascadingFailuresConsumeSpares) {

@@ -26,14 +26,12 @@ struct RunOutput {
 // across object sizes 2^4..2^11, with seeded random pacing — the shape of
 // the fig7 latency workload, shrunk to test size.
 RunOutput RunFig7StyleWorkload(bool analyze_races, bool telemetry = false,
-                               uint32_t cores_per_node = 1,
-                               bool fast_failover = false) {
+                               uint32_t cores_per_node = 1) {
   RingOptions options;
   options.seed = 42;
   options.clients = 2;
   options.analyze_races = analyze_races;
   options.params.cores_per_node = cores_per_node;
-  options.params.fast_failover = fast_failover;
   RingCluster cluster(options);
   obs::Hub& hub = cluster.simulator().hub();
   hub.EnableMetrics(true);
@@ -99,19 +97,6 @@ TEST(DeterminismTest, SameSeedSameBytesTwiceInProcess) {
   EXPECT_EQ(first.trace_summary, second.trace_summary);
   EXPECT_FALSE(first.metrics.empty());
   EXPECT_FALSE(first.trace.empty());
-}
-
-TEST(DeterminismTest, IdleFastFailoverDoesNotPerturbTheSchedule) {
-  // §16: arming revoke-then-promote registers a fabric NACK observer and
-  // branches in the membership layer, but with no failures injected not a
-  // single event may move — the fast path must be pay-for-use.
-  const RunOutput off = RunFig7StyleWorkload(/*analyze_races=*/false);
-  const RunOutput armed =
-      RunFig7StyleWorkload(/*analyze_races=*/false, /*telemetry=*/false,
-                           /*cores_per_node=*/1, /*fast_failover=*/true);
-  EXPECT_EQ(off.metrics, armed.metrics);
-  EXPECT_EQ(off.trace, armed.trace);
-  EXPECT_EQ(off.trace_summary, armed.trace_summary);
 }
 
 TEST(DeterminismTest, RaceDetectorDoesNotPerturbTheSchedule) {

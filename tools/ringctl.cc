@@ -746,7 +746,6 @@ int RunChaos(FlagSet& flags, ChaosMode mode) {
   o.spares = static_cast<uint32_t>(flags.GetInt("spares"));
   o.clients = std::max(1u, static_cast<uint32_t>(flags.GetInt("clients")));
   o.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  o.params.fast_failover = flags.GetBool("fast-failover");
   const uint32_t servers = o.s + o.d + o.spares;
   const uint64_t horizon =
       static_cast<uint64_t>(flags.GetDouble("seconds") * 1e9);
@@ -1291,10 +1290,6 @@ int Main(int argc, char** argv) {
                   "measure the host's GF kernel throughput and derive "
                   "gf_byte_ns/decode_byte_ns before simulating "
                   "(latency/throughput/recover)")
-      .DefineBool("fast-failover", false,
-                  "arm §16 revoke-then-promote reconfiguration "
-                  "(chaos/watch/report; `revoke node=N at=T` plan directives "
-                  "need this)")
       .DefineBool("json", false, "machine-readable output (calibrate, stats)")
       .DefineBool("prom", false,
                   "Prometheus text exposition instead of the summary (stats)")

@@ -1004,7 +1004,8 @@ void RingServer::CommitEntry(const MemgestInfo& info, uint32_t shard,
   waiters.RunAll();
 }
 
-void RingServer::GcOldVersions(const Key& key, uint64_t hash, Version below) {
+void RingServer::GcOldVersions(const Key& key, uint64_t hash, Version below,
+                               bool reclaim_regions) {
   // §16 multiversion retention: keep the ν newest committed versions below
   // the new commit (Refs is descending, so the first ν survivors are the
   // newest) — the stock of versions ReadMode::kNonBlocking serves from.
@@ -1042,7 +1043,7 @@ void RingServer::GcOldVersions(const Key& key, uint64_t hash, Version below) {
     }
     if (entry != nullptr) {
       ShardStore& store = StoreOf(StateOf(*info), shard, geom);
-      if (entry->region_len > 0) {
+      if (reclaim_regions && entry->region_len > 0) {
         store.free_list.emplace_back(entry->addr, entry->region_len);
       }
       NoteAccess(RegionKind::kMetadata, AccessKind::kWrite,

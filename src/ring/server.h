@@ -553,7 +553,11 @@ class RingServer {
   // write_retransmit_ns until it commits (no-op when the period is 0).
   void ScheduleWriteRetransmit(MemgestId gid, uint32_t shard, uint32_t geom_s,
                                const Key& key, uint64_t hash, Version version);
-  void GcOldVersions(const Key& key, uint64_t hash, Version below);
+  // Collects the versions of `key` below `below` (past the ν retained
+  // ones). Their heap regions return to the allocator unless
+  // `reclaim_regions` is false.
+  void GcOldVersions(const Key& key, uint64_t hash, Version below,
+                     bool reclaim_regions = true);
 
   // Read path pieces.
   // Resolves the highest version of req.key and dispatches DeliverGet.
@@ -589,6 +593,9 @@ class RingServer {
   std::vector<int32_t> AliveMetaSources(const MemgestInfo& info,
                                         uint32_t shard, uint32_t geom_s) const;
   void RebuildVolatileIndex();
+  // Promotion: collects superseded versions the metadata union brought back
+  // from redundancy nodes that missed their GC notice.
+  void CollectResurrectedVersions();
   void NotifyRedundancyRecovered();
   void RebuildParity(const MemgestInfo& info, uint32_t pkey,
                      std::function<void()> done);

@@ -214,6 +214,7 @@ void RingServer::BeginPromotion(uint32_t new_slot) {
         return;
       }
       RebuildVolatileIndex();
+      CollectResurrectedVersions();
       serving_ = true;
       last_recovery_ns_ = rt_->simulator().now() - start;
       hub().tracer().Record("promotion", obs::Category::kRecovery, id_, 0,
@@ -499,6 +500,48 @@ void RingServer::RebuildVolatileIndex() {
         }
       });
     }
+  }
+}
+
+void RingServer::CollectResurrectedVersions() {
+  // A GC notice is a one-sided write and can be lost (a drop, a partition),
+  // so a redundancy node may still hold a version the old coordinator
+  // collected, and the metadata union brings it back. Its region may since
+  // have been reused by a newer write of another key: collecting it later
+  // in the normal way would free that region a second time and hand it to
+  // two live versions. Collect every superseded version now, before
+  // serving, and leave the regions allocated.
+  if (!rt_->options().gc_old_versions) {
+    return;  // nothing was collected, so nothing can come back
+  }
+  std::vector<Key> keys;
+  for (const auto& [id, state] : memgests_) {
+    for (const auto& [store_key, store] : state.stores) {
+      store.meta.ForEach([&keys](const Key& key, const MetaEntry& entry) {
+        if (entry.indexed) {
+          keys.push_back(key);
+        }
+      });
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const Key& key : keys) {
+    const uint64_t hash = HashKey(key);
+    const auto newest = volatile_index_.Highest(hash, key);
+    const MemgestInfo* info =
+        newest.has_value() ? rt_->registry().Get(newest->memgest) : nullptr;
+    if (info == nullptr) {
+      continue;
+    }
+    uint32_t shard = ShardOfHash(hash, config_.num_shards());
+    uint32_t geom = config_.s;
+    const MetaEntry* entry =
+        FindEntry(*info, key, hash, newest->version, &shard, &geom);
+    if (entry != nullptr && entry->moved) {
+      continue;  // a moved-marker keeps its payload versions (§13)
+    }
+    GcOldVersions(key, hash, newest->version, /*reclaim_regions=*/false);
   }
 }
 

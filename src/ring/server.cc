@@ -1141,7 +1141,7 @@ void RingServer::HandleGet(GetRequest req) {
   });
 }
 
-void RingServer::ResolveGet(GetRequest req) {
+void RingServer::ResolveGet(GetRequest req, bool rerouted) {
   const RouteAction route = RouteKey(req.key, req.key_hash, req.forwarded);
   if (route.kind == RouteAction::Kind::kForward) {
     ++counters_.forwards;
@@ -1162,6 +1162,15 @@ void RingServer::ResolveGet(GetRequest req) {
       ++counters_.fenced_drops;
     }
     return;  // not responsible: client retry / multicast takes over
+  }
+  if (rerouted) {
+    // The moved entry's key still routes here (a marker whose install has
+    // not landed, or one a finished resize left behind): there is no owner
+    // to forward to, and serving again would land on the same marker.
+    ReplyToClient(req.client, kReplyBytes, [reply = req.reply] {
+      reply(GetResult{UnavailableError("key handed over"), 0, nullptr});
+    });
+    return;
   }
   ++counters_.gets;
   hub().metrics().Inc("server.gets", 1, id_, obs::kNoMemgest,
@@ -1206,7 +1215,7 @@ void RingServer::DeliverGet(const MemgestInfo& info, uint32_t shard,
   if (entry->moved) {
     // Handed over to the new-shape owner (§13); re-route — the forward path
     // in ResolveGet sends the reader there.
-    ResolveGet(std::move(req));
+    ResolveGet(std::move(req), /*rerouted=*/true);
     return;
   }
   if (entry->tombstone) {

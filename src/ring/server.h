@@ -562,8 +562,10 @@ class RingServer {
   // Read path pieces.
   // Resolves the highest version of req.key and dispatches DeliverGet.
   // Called once per get and again whenever validate-and-retry detects that
-  // the resolved version was garbage-collected mid-read.
-  void ResolveGet(GetRequest req);
+  // the resolved version was garbage-collected mid-read. `rerouted` marks
+  // the re-route of a moved entry: it forwards or drops, and answers
+  // kUnavailable when the key still routes to this node, never recursing.
+  void ResolveGet(GetRequest req, bool rerouted = false);
   void DeliverGet(const MemgestInfo& info, uint32_t shard, uint32_t geom_s,
                   MetaEntry* entry, GetRequest req);
   // Copies the committed, locally present `version` out of the heap (one

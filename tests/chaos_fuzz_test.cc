@@ -722,11 +722,12 @@ TEST_P(MembershipChaosTest, CommittedDataSurvivesElasticResizeUnderChaos) {
 }
 
 // 20+ seeded plans, each a distinct fault schedule raced against a resize.
+// Seeds 267 and 370 get a moved-marker that routes back to its own node.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, MembershipChaosTest,
     ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL, 7ULL, 8ULL, 9ULL,
                       10ULL, 11ULL, 12ULL, 13ULL, 14ULL, 15ULL, 16ULL, 17ULL,
-                      18ULL, 19ULL, 20ULL, 41ULL, 85ULL),
+                      18ULL, 19ULL, 20ULL, 41ULL, 85ULL, 267ULL, 370ULL),
     [](const ::testing::TestParamInfo<uint64_t>& info) {
       return "seed" + std::to_string(info.param);
     });
@@ -834,6 +835,57 @@ TEST(MembershipChaosScriptTest, JoinDuringPartitionCompletesAfterHeal) {
   EXPECT_FALSE(e.LeaderConfig().rebalancing());
   EXPECT_NE(e.LeaderConfig().slot_of_node[5], consensus::kSpareSlot);
   e.VerifyAllKeys();
+}
+
+// Regression (membership chaos seeds 267, 356, 370): a get that lands on a
+// moved-marker whose key still routes to the same node used to re-enter
+// ResolveGet -> DeliverGet without bound and overflow the stack. Here the
+// key's owner is unchanged by the resize, so the marker fences a local
+// re-encode; dropping the owner's appends to its Rep(3) replicas keeps the
+// marker uncommitted, and the get must be answered meanwhile.
+TEST(MembershipChaosScriptTest, GetOnAMarkerThatRoutesHomeIsAnswered) {
+  auto plan = fault::ParseFaultPlan(
+      "drop src=1 dst=2 p=1 from=1ms until=20ms\n"
+      "drop src=1 dst=3 p=1 from=1ms until=20ms\n");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ScriptedElastic e(34, /*spares=*/1, *plan);
+  // Shard 1 under both shapes: coordinated by node 1 before and after.
+  const Key key = [] {
+    for (int i = 0;; ++i) {
+      Key k = "home-" + std::to_string(i);
+      if (KeyShard(k, 3) == 1 && KeyShard(k, 4) == 1) {
+        return k;
+      }
+    }
+  }();
+  ASSERT_TRUE(e.cluster->Put(key, "stays", e.rep3).ok());
+  ASSERT_LT(e.cluster->simulator().now(), 1 * sim::kMillisecond);
+  e.cluster->RunFor(1 * sim::kMillisecond);
+  RingRuntime& rt = e.cluster->runtime();
+  ASSERT_TRUE(rt.registry().Resize(4).ok());
+  ASSERT_TRUE(rt.membership().BeginAddServer(
+      static_cast<net::NodeId>(e.LeaderConfig().FindSpare())));
+  e.cluster->RunFor(1 * sim::kMillisecond);
+  ASSERT_TRUE(rt.membership().ConfigView(1).rebalancing());
+
+  bool migrated = false;
+  e.cluster->server(1).HandleMigrateKey(
+      {.key = key,
+       .requester = e.cluster->client(0).node(),
+       .reply = [&](Status) { migrated = true; }});
+  e.cluster->RunFor(100 * sim::kMicrosecond);
+  ASSERT_FALSE(migrated) << "the marker should still be collecting acks";
+
+  GetResult got;
+  bool got_done = false;
+  e.cluster->client(0).Get(key, [&](GetResult r) {
+    got = std::move(r);
+    got_done = true;
+  });
+  e.cluster->RunFor(100 * sim::kMicrosecond);
+  ASSERT_TRUE(got_done);
+  EXPECT_EQ(got.status.code(), StatusCode::kUnavailable) << got.status;
+  EXPECT_FALSE(migrated);
 }
 
 TEST(MembershipChaosScriptTest, LeaderCrashMidTransitionReanchorsAndDrains) {

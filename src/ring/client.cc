@@ -1,5 +1,7 @@
 #include "src/ring/client.h"
 
+#include <algorithm>
+
 #include "src/common/hash.h"
 #include "src/common/ring_buffer.h"
 
@@ -86,27 +88,105 @@ void RingClient::Launch(uint64_t req_id) {
     o->deadline = o->start + p.client_retry_budget_ns;
   }
   ++in_flight_;
+  launched_ = req_id + 1;
   Send(o->spec, req_id, false);
-  if (o->spec.kind == obs::OpKind::kGet && p.client_hedge_delay_ns > 0 &&
-      p.client_hedge_delay_ns < p.client_retry_timeout_ns) {
-    rt_->simulator().After(p.client_hedge_delay_ns, [this, req_id] {
-      Outstanding* pending = Find(req_id);
-      if (pending == nullptr || pending->retries > 0 ||
-          !rt_->fabric().alive(node_)) {
-        return;
-      }
-      // Hedge: multicast without waiting for the retry timeout. The request
-      // stays outstanding; whichever reply lands first wins and the
-      // duplicate is dropped by Complete.
-      ++hedges_;
-      rt_->simulator().hub().metrics().Inc("client.hedges", 1, node_);
-      rt_->simulator().hub().recorder().Record(obs::RecKind::kClient, "hedge",
-                                               node_, OpId(req_id));
-      Resend(pending->spec, req_id);
-    });
+  if (o->spec.kind == obs::OpKind::kGet && HedgesEnabled()) {
+    ArmTimer(o->start + p.client_hedge_delay_ns);
   }
-  rt_->simulator().After(p.client_retry_timeout_ns,
-                         [this, req_id] { CheckTimeout(req_id); });
+  ArmTimer(o->start + p.client_retry_timeout_ns);
+}
+
+bool RingClient::HedgesEnabled() const {
+  const auto& p = rt_->simulator().params();
+  return p.client_hedge_delay_ns > 0 &&
+         p.client_hedge_delay_ns < p.client_retry_timeout_ns;
+}
+
+void RingClient::ArmTimer(sim::SimTime t) {
+  if (timer_at_ <= t) {
+    return;
+  }
+  // An armed later timer goes stale: its generation no longer matches.
+  timer_at_ = t;
+  rt_->simulator().At(t, [this, gen = ++timer_gen_] {
+    if (gen == timer_gen_) {
+      OnTimer();
+    }
+  });
+}
+
+sim::SimTime RingClient::NextFirstRetry() {
+  retry_cursor_ = std::max(retry_cursor_, floor_);
+  for (; retry_cursor_ < launched_; ++retry_cursor_) {
+    if (const Outstanding* o = Find(retry_cursor_); o != nullptr) {
+      return o->start + rt_->simulator().params().client_retry_timeout_ns;
+    }
+  }
+  return kNever;
+}
+
+sim::SimTime RingClient::NextHedge() {
+  if (!HedgesEnabled()) {
+    return kNever;
+  }
+  hedge_cursor_ = std::max(hedge_cursor_, floor_);
+  for (; hedge_cursor_ < launched_; ++hedge_cursor_) {
+    const Outstanding* o = Find(hedge_cursor_);
+    if (o != nullptr && o->spec.kind == obs::OpKind::kGet) {
+      return o->start + rt_->simulator().params().client_hedge_delay_ns;
+    }
+  }
+  return kNever;
+}
+
+sim::SimTime RingClient::NextRearm() {
+  while (!rearms_.empty() && Find(rearms_.front().req_id) == nullptr) {
+    std::pop_heap(rearms_.begin(), rearms_.end(), Rearm::Later);
+    rearms_.pop_back();
+  }
+  return rearms_.empty() ? kNever : rearms_.front().deadline;
+}
+
+void RingClient::OnTimer() {
+  timer_at_ = kNever;
+  const sim::SimTime now = rt_->simulator().now();
+  for (;;) {
+    const sim::SimTime rearm = NextRearm();
+    const sim::SimTime first = NextFirstRetry();
+    const sim::SimTime hedge = NextHedge();
+    const sim::SimTime next = std::min({rearm, first, hedge});
+    if (next > now) {
+      ArmTimer(next);  // a no-op for kNever
+      return;
+    }
+    // Equal deadlines run re-arms, then first retries, then hedges: the
+    // order in which they were set.
+    if (rearm == next) {
+      const uint64_t req_id = rearms_.front().req_id;
+      std::pop_heap(rearms_.begin(), rearms_.end(), Rearm::Later);
+      rearms_.pop_back();
+      CheckTimeout(req_id);
+    } else if (first == next) {
+      CheckTimeout(retry_cursor_++);
+    } else {
+      Hedge(hedge_cursor_++);
+    }
+  }
+}
+
+void RingClient::Hedge(uint64_t req_id) {
+  Outstanding* o = Find(req_id);
+  if (o->retries > 0 || !rt_->fabric().alive(node_)) {
+    return;
+  }
+  // Multicast without waiting for the retry timeout. The request stays
+  // outstanding; whichever reply lands first wins and the duplicate is
+  // dropped by Complete.
+  ++hedges_;
+  rt_->simulator().hub().metrics().Inc("client.hedges", 1, node_);
+  rt_->simulator().hub().recorder().Record(obs::RecKind::kClient, "hedge",
+                                           node_, OpId(req_id));
+  Resend(o->spec, req_id);
 }
 
 void RingClient::Resend(const OpSpec& spec, uint64_t req_id) {
@@ -258,11 +338,8 @@ uint64_t RingClient::NextRetryWait(Outstanding* o) {
 
 void RingClient::CheckTimeout(uint64_t req_id) {
   Outstanding* o = Find(req_id);
-  if (o == nullptr) {
-    return;
-  }
   if (!rt_->fabric().alive(node_)) {
-    return;
+    return;  // a dead client's requests never time out
   }
   const auto& p = rt_->simulator().params();
   const sim::SimTime now = rt_->simulator().now();
@@ -284,8 +361,8 @@ void RingClient::CheckTimeout(uint64_t req_id) {
                                            OpId(req_id), o->retries);
   RefreshConfig();
   Resend(o->spec, req_id);
-  rt_->simulator().After(NextRetryWait(o),
-                         [this, req_id] { CheckTimeout(req_id); });
+  rearms_.push_back({now + NextRetryWait(o), req_id});
+  std::push_heap(rearms_.begin(), rearms_.end(), Rearm::Later);
 }
 
 void RingClient::Fail(uint64_t req_id) {

@@ -128,8 +128,8 @@ class RingClient {
   // The window slot of an incomplete request, nullptr once it completed.
   Outstanding* Find(uint64_t req_id);
   // Runs once the issue CPU charge is paid: sends the request from its
-  // slot, and arms the retry timer (and the hedge, for gets when
-  // client_hedge_delay_ns is set).
+  // slot, and makes sure the client timer fires by its first retry deadline
+  // (and its hedge deadline, for gets when client_hedge_delay_ns is set).
   void Launch(uint64_t req_id);
   // Builds the request message for `spec` and sends it to the coordinator,
   // or to every live member on a retry or hedge.
@@ -141,7 +141,38 @@ class RingClient {
   // Posts a broadcast re-send after the client CPU charge. It goes out even
   // if the request completes meanwhile, so it carries its own spec copy.
   void Resend(const OpSpec& spec, uint64_t req_id);
+  // ---- retry and hedge deadlines (DESIGN.md §11.2) ----
+  // Every live request has one pending deadline. Launch runs on the
+  // client's single CPU shard in req_id order, so first retry deadlines
+  // (start + client_retry_timeout_ns) and hedge deadlines (start +
+  // client_hedge_delay_ns) are monotone in req_id: a cursor over the window
+  // finds the next one. Later retries wait NextRetryWait and sit in
+  // rearms_. One simulator timer is armed, at the earliest live deadline.
+  static constexpr sim::SimTime kNever = UINT64_MAX;
+  struct Rearm {
+    sim::SimTime deadline;
+    uint64_t req_id;
+    // Heap order: the earliest (deadline, req_id) on top.
+    static bool Later(const Rearm& a, const Rearm& b) {
+      return a.deadline != b.deadline ? a.deadline > b.deadline
+                                      : a.req_id > b.req_id;
+    }
+  };
+  bool HedgesEnabled() const;
+  // Arms the client timer at `t` unless it already fires by then.
+  void ArmTimer(sim::SimTime t);
+  // Runs every deadline that is due, then arms the timer at the next one.
+  void OnTimer();
+  // The next pending deadline of each kind (kNever when none). They move
+  // the cursors past completed requests and drop completed heap tops.
+  sim::SimTime NextFirstRetry();
+  sim::SimTime NextHedge();
+  sim::SimTime NextRearm();
+  // A due retry deadline: multicasts the request and re-arms it, or fails
+  // it once its retry budget is spent.
   void CheckTimeout(uint64_t req_id);
+  // A due hedge deadline: multicasts a get that has not been retried yet.
+  void Hedge(uint64_t req_id);
   // Completes a request whose retry budget ran out with kUnavailable (or a
   // timeout, for admin requests).
   void Fail(uint64_t req_id);
@@ -175,6 +206,17 @@ class RingClient {
   uint64_t next_req_ = 1;
   uint64_t floor_ = 1;
   std::vector<Outstanding> window_;
+  // Requests below launched_ have posted their first send.
+  uint64_t launched_ = 1;
+  // Lowest req_ids whose first retry / hedge deadline has not run yet.
+  uint64_t retry_cursor_ = 1;
+  uint64_t hedge_cursor_ = 1;
+  // Min-heap (Rearm::Later) of retry deadlines after the first.
+  std::vector<Rearm> rearms_;
+  // The armed timer's time (kNever: none) and generation. Arming earlier
+  // strands the later event, which then sees a stale generation.
+  sim::SimTime timer_at_ = kNever;
+  uint64_t timer_gen_ = 0;
   size_t in_flight_ = 0;
   uint64_t completed_ = 0;
   uint64_t timeouts_ = 0;

@@ -12,8 +12,10 @@
 //     window's end (wire hops, CPU completions, microsecond timers);
 //   - coarse: 4096 window-sized slots (~268 ms horizon), each an unsorted
 //     intrusive list threaded through a link array beside the slab, so a
-//     parked retry/heartbeat timer costs O(1) until the window reaches its
-//     slot and splices it into the near heap;
+//     parked timer costs O(1) until the window reaches its slot and
+//     splices it into the near heap. It holds heartbeats, chaos timers and
+//     each client's one armed retry timer (clients keep their per-request
+//     deadlines themselves, so a completed op leaves no event behind);
 //   - overflow: a key heap for anything beyond the coarse horizon.
 // Every near event precedes every coarse one, which precedes every overflow
 // one, so the near heap's top is the global minimum once the window has
@@ -109,8 +111,8 @@ class EventQueue {
 
  private:
   // A ~65 µs window: wire hops and CPU slices (ns–µs) land in the near
-  // heap, while retry timeouts (100 µs – 200 ms), heartbeats (10 ms) and
-  // deep CPU backlogs park in the coarse tier. The near heap's depth is
+  // heap, while client retry timers (100 µs – 200 ms, one per client),
+  // heartbeats (10 ms) and deep CPU backlogs park in the coarse tier. The near heap's depth is
   // what every pop pays: on fig11 it averages ~30 keys here against ~470
   // with a 2.1 ms window (DESIGN.md §14.1).
   static constexpr uint32_t kWindowShift = 16;

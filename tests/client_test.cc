@@ -106,6 +106,126 @@ TEST(ClientTest, ExhaustedRetryBudgetReportsUnavailable) {
   EXPECT_GT(cluster.client(0).timeouts(), 0u);
 }
 
+// Sim times of this client's "client_retry" flight-recorder events.
+std::vector<sim::SimTime> RetryTimes(RingCluster& cluster, uint32_t client) {
+  std::vector<sim::SimTime> times;
+  const obs::FlightRecorder& rec = cluster.simulator().hub().recorder();
+  for (const obs::RecEvent& e : rec.Tail(rec.size())) {
+    if (e.node == cluster.client(client).node() &&
+        std::string(e.name) == "client_retry") {
+      times.push_back(e.t_ns);
+    }
+  }
+  return times;
+}
+
+// The first key (with prefix `prefix`) that shard `shard` of 3 coordinates.
+Key KeyOnShard(const std::string& prefix, uint32_t shard) {
+  for (int i = 0;; ++i) {
+    Key k = prefix + std::to_string(i);
+    if (KeyShard(k, 3) == shard) {
+      return k;
+    }
+  }
+}
+
+TEST(ClientTest, HedgedGetMulticastsOnceBeforeRetry) {
+  // The get's first send to coordinator 1 is lost; the hedge 20 us later
+  // reaches it and is answered long before the 300 us retry timeout.
+  RingOptions o = Opts(14);
+  o.params.client_hedge_delay_ns = 20 * sim::kMicrosecond;
+  const uint32_t client_node = o.s + o.d + o.spares;  // client 0
+  auto plan = fault::ParseFaultPlan(
+      "drop src=" + std::to_string(client_node) +
+      " dst=1 p=1 from=1ms until=1010us");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  o.fault_plan = *plan;
+  RingCluster cluster(o);
+  ASSERT_EQ(cluster.client(0).node(), client_node);
+  cluster.simulator().hub().EnableRecorder(true);
+  auto g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const Key key = KeyOnShard("hg-", 1);
+  ASSERT_TRUE(cluster.Put(key, "hedged", g).ok());
+  ASSERT_LT(cluster.simulator().now(), 1 * sim::kMillisecond);
+  cluster.RunFor(1 * sim::kMillisecond - cluster.simulator().now());
+
+  const sim::SimTime issued = cluster.simulator().now();
+  GetResult got;
+  bool done = false;
+  cluster.client(0).Get(key, [&](GetResult r) {
+    got = std::move(r);
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return done; }));
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  EXPECT_EQ(ToString(*got.data), "hedged");
+  EXPECT_EQ(cluster.client(0).hedges(), 1u);
+  EXPECT_TRUE(RetryTimes(cluster, 0).empty());
+  EXPECT_LT(cluster.simulator().now() - issued,
+            o.params.client_retry_timeout_ns);
+}
+
+TEST(ClientTest, CompletedOpsLeaveNoTimersBehind) {
+  RingCluster cluster(Opts(15, /*retry_us=*/200 * 1000));
+  auto g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  int acked = 0;
+  for (int i = 0; i < 1000; ++i) {
+    cluster.client(i % 2).Put(
+        "nt-" + std::to_string(i),
+        std::make_shared<Buffer>(MakePatternBuffer(64, i)), g,
+        [&](Status s, Version) {
+          EXPECT_TRUE(s.ok()) << s;
+          ++acked;
+        });
+  }
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return acked == 1000; }));
+  ASSERT_LT(cluster.simulator().now(), 100 * sim::kMillisecond);
+  // Heartbeats and at most one armed timer per client remain; a retry
+  // timer per completed op would leave ~1,000 parked events.
+  EXPECT_LT(cluster.simulator().queue().pending(), 64u);
+}
+
+TEST(ClientTest, LostRequestRetriesOnSchedule) {
+  // Every message from client 0 to coordinator 2 is lost for 650 us after
+  // the get is issued at 1 ms: the first send and the first two retries.
+  RingOptions o = Opts(16);
+  const uint32_t client_node = o.s + o.d + o.spares;
+  auto plan = fault::ParseFaultPlan(
+      "drop src=" + std::to_string(client_node) +
+      " dst=2 p=1 from=1ms until=1650us");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  o.fault_plan = *plan;
+  RingCluster cluster(o);
+  cluster.simulator().hub().EnableRecorder(true);
+  auto g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(3));
+  const Key key = KeyOnShard("rs-", 2);
+  ASSERT_TRUE(cluster.Put(key, "late", g).ok());
+  ASSERT_LT(cluster.simulator().now(), 1 * sim::kMillisecond);
+  cluster.RunFor(1 * sim::kMillisecond - cluster.simulator().now());
+
+  const auto& p = cluster.simulator().params();
+  // The client CPU is idle, so the request posts one issue charge later.
+  const sim::SimTime start =
+      cluster.simulator().now() + p.client_base_ns + p.client_post_ns;
+  GetResult got;
+  bool done = false;
+  cluster.client(0).Get(key, [&](GetResult r) {
+    got = std::move(r);
+    done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntilDone([&] { return done; }));
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  EXPECT_EQ(ToString(*got.data), "late");
+  const std::vector<sim::SimTime> retries = RetryTimes(cluster, 0);
+  const uint64_t base = p.client_retry_timeout_ns;
+  ASSERT_EQ(retries.size(), 3u);
+  EXPECT_EQ(retries[0], start + base);
+  EXPECT_GE(retries[1] - retries[0], base);
+  EXPECT_LT(retries[1] - retries[0], 3 * base);
+  EXPECT_GE(retries[2] - retries[1], base);
+  EXPECT_LT(retries[2] - retries[1], 3 * base);
+}
+
 TEST(ClientTest, TwoClientsIndependentStats) {
   RingCluster cluster(Opts(5));
   auto g = *cluster.CreateMemgest(MemgestDescriptor::Replicated(1));

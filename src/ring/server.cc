@@ -271,14 +271,21 @@ RingServer::RouteAction RingServer::RouteKey(const Key& key, uint64_t hash,
     // at the new owner. The marker fences even before it commits: a write
     // accepted above an in-flight marker would be lost at handoff, so the
     // moment the marker is written every op re-routes (and retries until
-    // the new owner has the install).
+    // the new owner has the install). The marker lives in the previous-shape
+    // store; look only there. When this node also replicates the key's
+    // new-shape shard, it holds the new owner's install mirror at the
+    // marker's own version, and that mirror is not moved.
     bool handed_over = false;
     if (const auto ref = volatile_index_.Highest(hash, key); ref.has_value()) {
       if (const MemgestInfo* info = rt_->registry().Get(ref->memgest);
           info != nullptr) {
-        const MetaEntry* e =
-            FindEntry(*info, key, hash, ref->version, nullptr, nullptr);
-        handed_over = e != nullptr && e->moved;
+        const MemgestState& state = StateOf(*info);
+        if (const auto sit =
+                state.stores.find(GeomKey(config_.prev_s, prev_shard));
+            sit != state.stores.end()) {
+          const MetaEntry* e = sit->second.meta.Find(hash, key, ref->version);
+          handed_over = e != nullptr && e->moved;
+        }
       }
     }
     if (!handed_over) {

@@ -888,6 +888,82 @@ TEST(MembershipChaosScriptTest, GetOnAMarkerThatRoutesHomeIsAnswered) {
   EXPECT_FALSE(migrated);
 }
 
+// Regression (membership chaos seed 14): an old owner that also replicates
+// the key's new-shape shard holds the new owner's install mirror at the
+// moved-marker's own version, in its current-shape store. Routing used to
+// find that mirror first; it is not moved, so the old owner served a put at
+// the old shape after the handover, and the new owner never saw the
+// acknowledged write.
+TEST(MembershipChaosScriptTest, OldOwnerMirroringTheInstallStillForwards) {
+  ScriptedElastic e(35, /*spares=*/1);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(e.cluster->Put("mi-" + std::to_string(i), "before", e.rep3)
+                    .ok());
+  }
+  RingRuntime& rt = e.cluster->runtime();
+  ASSERT_TRUE(rt.registry().Resize(4).ok());
+  ASSERT_TRUE(rt.membership().BeginAddServer(
+      static_cast<net::NodeId>(e.LeaderConfig().FindSpare())));
+  e.cluster->RunFor(1 * sim::kMillisecond);
+  const consensus::ClusterConfig& cfg = e.LeaderConfig();
+  ASSERT_TRUE(cfg.rebalancing());
+  const MemgestInfo* info = rt.registry().Get(e.rep3);
+  ASSERT_NE(info, nullptr);
+  // A key whose owner changes, and whose old owner replicates its new shard.
+  Key key;
+  net::NodeId old_owner = 0;
+  net::NodeId new_owner = 0;
+  for (int i = 0; i < 40 && key.empty(); ++i) {
+    const Key k = "mi-" + std::to_string(i);
+    const uint32_t shard = KeyShard(k, cfg.num_shards());
+    old_owner = cfg.Previous().CoordinatorOfShard(
+        KeyShard(k, cfg.Previous().num_shards()));
+    new_owner = cfg.CoordinatorOfShard(shard);
+    for (uint32_t slot : MemgestRegistry::ReplicaSlotsFor(*info, shard, cfg.s,
+                                                          cfg.d)) {
+      if (old_owner != new_owner && cfg.node_of_slot[slot] == old_owner) {
+        key = k;
+      }
+    }
+  }
+  ASSERT_FALSE(key.empty()) << "no key replicated at its old owner";
+
+  bool migrated = false;
+  e.cluster->server(old_owner).HandleMigrateKey(
+      {.key = key,
+       .requester = e.cluster->client(0).node(),
+       .reply = [&](Status s) { migrated = s.ok(); }});
+  e.cluster->RunFor(1 * sim::kMillisecond);
+  ASSERT_TRUE(migrated);
+
+  // A put that reaches the old owner (a client with the old config) must be
+  // forwarded to the new owner, which then serves the new bytes.
+  bool put_done = false;
+  PutRequest put;
+  put.key = key;
+  put.key_hash = HashKey(key);
+  put.value = std::make_shared<Buffer>(ToBuffer("after"));
+  put.memgest = e.rep3;
+  put.client = e.cluster->client(0).node();
+  put.req_id = uint64_t{1} << 40;
+  put.reply = [&](Status s, Version) { put_done = s.ok(); };
+  e.cluster->server(old_owner).HandlePut(std::move(put));
+  e.cluster->RunFor(1 * sim::kMillisecond);
+  ASSERT_TRUE(put_done);
+
+  GetResult got;
+  GetRequest get;
+  get.key = key;
+  get.key_hash = HashKey(key);
+  get.client = e.cluster->client(0).node();
+  get.req_id = (uint64_t{1} << 40) + 1;
+  get.reply = [&](GetResult r) { got = std::move(r); };
+  e.cluster->server(new_owner).HandleGet(std::move(get));
+  e.cluster->RunFor(1 * sim::kMillisecond);
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  EXPECT_EQ(ToString(*got.data), "after");
+}
+
 TEST(MembershipChaosScriptTest, LeaderCrashMidTransitionReanchorsAndDrains) {
   ScriptedElastic e(33, /*spares=*/2);
   e.WriteKeys(90);

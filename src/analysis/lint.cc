@@ -15,8 +15,8 @@ namespace fs = std::filesystem;
 
 // Directories the text rules police. src/analysis is deliberately excluded:
 // the lint rules themselves spell out the forbidden tokens.
-constexpr const char* kScannedDirs[] = {"src/sim/", "src/net/", "src/ring/",
-                                        "src/srs/", "src/policy/"};
+constexpr const char* kScannedDirs[] = {"src/sim/", "src/net/",    "src/ring/",
+                                        "src/srs/", "src/policy/", "src/check/"};
 
 bool InScannedDir(const std::string& relpath) {
   for (const char* dir : kScannedDirs) {

@@ -5,8 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/bytes.h"
-#include "src/common/hash.h"
+#include "src/check/oracle.h"
 #include "src/ring/cluster.h"
 
 namespace ring::mc {
@@ -20,17 +19,6 @@ void HashMix(uint64_t& h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
   }
-}
-
-// Deterministic put payload: recognizable pattern keyed by (key, nonce), so
-// a corrupt read shows *whose* bytes leaked in.
-Buffer EncodeValue(const Key& key, uint64_t nonce, size_t size) {
-  Buffer out = MakePatternBuffer(size, HashKey(key) ^ nonce);
-  const std::string tag = key + "#" + std::to_string(nonce) + ";";
-  for (size_t i = 0; i < tag.size() && i < out.size(); ++i) {
-    out[i] = static_cast<uint8_t>(tag[i]);
-  }
-  return out;
 }
 
 Result<MemgestDescriptor> ParseScheme(const std::string& scheme) {
@@ -68,12 +56,7 @@ struct TraceRunner::Impl : public sim::ScheduleController,
   uint64_t next_tag = 1;
   uint32_t step = 0;
 
-  struct KeyTruth {
-    std::map<Version, Buffer> acked;
-    Version highest_read = 0;
-    bool deleted = false;
-  };
-  std::map<Key, KeyTruth> truth;
+  check::Oracle oracle;
   int outstanding = 0;
 
   TraceResult result;
@@ -234,54 +217,31 @@ struct TraceRunner::Impl : public sim::ScheduleController,
     }
   }
 
-  void CheckRead(const Key& key, Version floor, const GetResult& r) {
-    if (!r.status.ok()) {
-      return;  // clean failure under schedule stress is legal mid-run
-    }
-    KeyTruth& t = truth[key];
-    const auto it = t.acked.find(r.version);
-    if (it != t.acked.end() && *r.data != it->second) {
-      Violate(kViolationCorruptRead,
-              key + " v" + std::to_string(r.version) + " bytes mismatch");
-    }
-    if (r.version < floor) {
-      Violate(kViolationTimeTravel,
-              key + " v" + std::to_string(r.version) + " after v" +
-                  std::to_string(floor));
-    }
-    t.highest_read = std::max(t.highest_read, r.version);
-  }
-
   void Issue(const McOp& op, MemgestId gid) {
     switch (op.kind) {
       case McOp::Kind::kPut: {
-        Buffer value = EncodeValue(op.key, op.nonce, op.value_size);
+        Buffer value = check::EncodeValue(op.key, op.nonce, op.value_size);
         ++outstanding;
         cluster->client(op.client).Put(
             op.key, std::make_shared<Buffer>(value), gid,
             [this, key = op.key, value](Status s, Version v) {
               --outstanding;
-              if (!s.ok()) {
-                return;
-              }
-              auto [it, fresh] = truth[key].acked.emplace(v, value);
-              if (!fresh && it->second != value) {
-                Violate(kViolationVersionReuse,
-                        key + " v" + std::to_string(v) + " acked twice");
+              if (s.ok()) {
+                oracle.PutAcked(key, v, value);
               }
             });
         return;
       }
       case McOp::Kind::kGet: {
         ++outstanding;
-        const Version floor = truth[op.key].highest_read;
+        const Version floor = oracle.Floor(op.key);
         const ReadMode mode = config.nonblocking_reads
                                   ? ReadMode::kNonBlocking
                                   : ReadMode::kStrong;
         cluster->client(op.client).Get(
             op.key, mode, [this, key = op.key, floor](GetResult r) {
               --outstanding;
-              CheckRead(key, floor, r);
+              oracle.Read(key, floor, r);
             });
         return;
       }
@@ -291,7 +251,7 @@ struct TraceRunner::Impl : public sim::ScheduleController,
                                           [this, key = op.key](Status s) {
                                             --outstanding;
                                             if (s.ok()) {
-                                              truth[key].deleted = true;
+                                              oracle.DeleteAcked(key);
                                             }
                                           });
         return;
@@ -300,10 +260,7 @@ struct TraceRunner::Impl : public sim::ScheduleController,
   }
 
   void FinalSweep() {
-    for (auto& [key, t] : truth) {
-      if (t.acked.empty() || t.deleted) {
-        continue;
-      }
+    for (const Key& key : oracle.SweepKeys()) {
       bool got = false;
       GetResult r;
       cluster->client(0).Get(key, [&](GetResult g) {
@@ -314,31 +271,7 @@ struct TraceRunner::Impl : public sim::ScheduleController,
         result.completed = false;
         return;
       }
-      const Version top = t.acked.rbegin()->first;
-      if (!r.status.ok()) {
-        // Only a *definitive* miss is data loss. kUnavailable / kTimeout
-        // mean the cluster never answered — under unrepaired message loss
-        // that is an expected liveness failure, not a safety violation.
-        if (r.status.code() == StatusCode::kNotFound ||
-            r.status.code() == StatusCode::kDataLoss) {
-          Violate(kViolationDurability,
-                  key + " acked v" + std::to_string(top) +
-                      " unreadable: " + r.status.message());
-        }
-        continue;
-      }
-      if (r.version < top) {
-        Violate(kViolationDurability,
-                key + " regressed to v" + std::to_string(r.version) +
-                    " (acked v" + std::to_string(top) + ")");
-        continue;
-      }
-      const auto it = t.acked.find(r.version);
-      if (it != t.acked.end() && *r.data != it->second) {
-        Violate(kViolationCorruptRead,
-                key + " v" + std::to_string(r.version) +
-                    " bytes mismatch in final sweep");
-      }
+      oracle.Sweep(key, r);
     }
   }
 
@@ -438,6 +371,14 @@ struct TraceRunner::Impl : public sim::ScheduleController,
     cl.RunFor(config.quiesce_ns);
     if (result.completed) {
       FinalSweep();
+    }
+    // An unanswered sweep read does not count: the explorer drops messages
+    // for good, so a get the cluster never answers is an expected liveness
+    // failure, not a safety violation.
+    for (const check::Violation& v : oracle.violations()) {
+      if (v.kind != check::Kind::kUnanswered) {
+        Violate(check::KindName(v.kind), v.key + " " + v.detail);
+      }
     }
     // Wedged-write oracle: with retransmission configured on, no write may
     // still be waiting on redundancy acks after full quiescence. (With it

@@ -10,8 +10,8 @@
 //     relation),
 //   - records the trail of choice points (candidates, decision, clocks,
 //     sleep set at entry),
-//   - checks the chaos_fuzz oracles: version-reuse, corrupt reads, read
-//     monotonicity, final durability/read-your-writes, and wedged writes.
+//   - checks the shared consistency oracle (src/check: version reuse,
+//     corrupt reads, time travel, final durability), plus wedged writes.
 //
 // Determinism contract: two runs with the same config and plan produce the
 // same tag assignment, the same trail, the same violation, and the same
@@ -95,7 +95,8 @@ class TraceRunner {
   Impl* impl_;
 };
 
-// Violation oracle names (TraceResult::violation values).
+// Violation oracle names (TraceResult::violation values). All but
+// kViolationWedgedWrite are check::KindName of the oracle's kinds.
 inline constexpr char kViolationDurability[] = "durability";
 inline constexpr char kViolationCorruptRead[] = "corrupt-read";
 inline constexpr char kViolationVersionReuse[] = "version-reuse";

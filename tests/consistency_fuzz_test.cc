@@ -1,40 +1,31 @@
 // Randomized strong-consistency tests (paper §5.2).
 //
 // Concurrent clients fire random put/get/move/delete traffic at a cluster;
-// the properties checked are the ones strong (sequential) consistency
-// promises regardless of interleaving:
-//   - integrity: every successful get returns bytes some client once put
-//     for that exact key,
-//   - version monotonicity: reads of a key never travel back in time,
-//   - read-your-writes: after a put acks with version v, later reads see
-//     version >= v,
+// the shared consistency oracle (src/check) checks what strong (sequential)
+// consistency promises regardless of interleaving: no version reuse, no
+// corrupt reads, no read below the highest version read or acknowledged
+// before it was issued, and a durable quiescent sweep. Local checks add:
+//   - monotonicity in completion order: reads of a key never travel back
+//     in time, even when their lifetimes overlap,
 //   - agreement: when traffic quiesces, every client reads the same value,
 //   - durability: values committed to reliable memgests survive a
 //     coordinator failure byte-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "src/common/hash.h"
+#include "src/check/oracle.h"
 #include "src/policy/autotier.h"
 #include "src/ring/cluster.h"
 
 namespace ring {
 namespace {
 
-// Values encode (key, nonce) so integrity violations are detectable.
-Buffer EncodeValue(const Key& key, uint64_t nonce, size_t size) {
-  Buffer out = MakePatternBuffer(size, HashKey(key) ^ nonce);
-  const std::string tag = key + "#" + std::to_string(nonce) + ";";
-  for (size_t i = 0; i < tag.size() && i < out.size(); ++i) {
-    out[i] = static_cast<uint8_t>(tag[i]);
-  }
-  return out;
-}
+using check::EncodeValue;
 
 // Random concurrent traffic against one cluster; shared by the plain fuzz
 // and the policy variant. `with_policy` runs the adaptive resilience
@@ -94,39 +85,9 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
   const int kKeys = 12;
   auto key_of = [](int i) { return "fuzz-" + std::to_string(i); };
 
-  // Ground truth, updated from completion callbacks only (what a client
-  // actually learned).
-  struct KeyState {
-    std::map<Version, Buffer> acked_puts;   // version -> value
-    Version highest_read = 0;               // monotonicity witness
-    std::map<Version, bool> deleted;        // tombstone versions
-  };
-  std::map<Key, KeyState> truth;
+  check::Oracle oracle;
   uint64_t next_nonce = 1;
   int outstanding = 0;
-  int violations = 0;
-
-  auto check_read = [&](const Key& key, const GetResult& r) {
-    KeyState& st = truth[key];
-    if (!r.status.ok()) {
-      return;  // NotFound is legal while deletes race with puts
-    }
-    // Integrity: the version must be an acked put... or a put that was in
-    // flight; we only assert on versions we know about.
-    auto it = st.acked_puts.find(r.version);
-    if (it != st.acked_puts.end() && *r.data != it->second) {
-      ++violations;
-      ADD_FAILURE() << "corrupt read of " << key << " v" << r.version;
-    }
-    // Monotonicity per key across the whole system (sequential consistency:
-    // versions are totally ordered by the coordinator).
-    if (r.version < st.highest_read) {
-      ++violations;
-      ADD_FAILURE() << "time travel on " << key << ": v" << r.version
-                    << " after v" << st.highest_read;
-    }
-    st.highest_read = std::max(st.highest_read, r.version);
-  };
 
   const int kOps = 600;
   for (int op = 0; op < kOps; ++op) {
@@ -145,30 +106,33 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
           [&, key, value](Status s, Version v) {
             --outstanding;
             if (s.ok()) {
-              truth[key].acked_puts[v] = value;
+              oracle.PutAcked(key, v, value);
             }
           });
     } else if (dice < 0.80) {
       ++outstanding;
-      cluster.client(client).Get(key, read_mode, [&, key](GetResult r) {
+      const Version floor = oracle.Floor(key);
+      cluster.client(client).Get(key, read_mode, [&, key, floor](GetResult r) {
         --outstanding;
-        check_read(key, r);
+        // Checked in completion order too: never below a version read by
+        // the time this get completes.
+        oracle.Read(key, std::max(floor, oracle.HighestRead(key)), r);
       });
     } else if (dice < 0.92) {
       const MemgestId g = memgests[rng.NextBelow(memgests.size())];
       ++outstanding;
-      cluster.client(client).Move(key, g, [&, key](Status s, Version v) {
-        --outstanding;
-        if (s.ok()) {
-          // A move re-homes the highest version's bytes under version v;
-          // record it as an acked put of unknown bytes only if we know the
-          // source... integrity for moves is covered by the final sweep.
-          (void)v;
-        }
-      });
+      // A move re-homes the highest version's bytes under a new version
+      // of unknown bytes; the final sweep covers it.
+      cluster.client(client).Move(key, g,
+                                  [&](Status, Version) { --outstanding; });
     } else {
       ++outstanding;
-      cluster.client(client).Delete(key, [&](Status) { --outstanding; });
+      cluster.client(client).Delete(key, [&, key](Status s) {
+        --outstanding;
+        if (s.ok()) {
+          oracle.DeleteAcked(key);
+        }
+      });
     }
     // Random pacing: bursts and gaps.
     if (rng.NextBernoulli(0.6)) {
@@ -184,8 +148,8 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
     cluster.RunFor(2 * sim::kMillisecond);
   }
 
-  // Quiescent agreement + read-your-writes sweep: all clients agree, and
-  // the version is at least the highest acked put version (background moves
+  // Quiescent agreement + durability sweep: all clients agree, and the
+  // version is at least the highest acked put version (background moves
   // only ever advance a key's version).
   for (int i = 0; i < kKeys; ++i) {
     const Key key = key_of(i);
@@ -201,7 +165,7 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
         done = true;
       });
       ASSERT_TRUE(cluster.RunUntilDone([&] { return done; }));
-      check_read(key, r);
+      oracle.Sweep(key, r);
       reads.push_back(std::move(r));
     }
     for (uint32_t c = 1; c < 3; ++c) {
@@ -211,13 +175,10 @@ void RunRandomTraffic(uint64_t seed, uint32_t groups, bool with_policy,
             << "clients disagree on " << key;
       }
     }
-    const KeyState& st = truth[key];
-    if (!st.acked_puts.empty() && reads[0].status.ok()) {
-      EXPECT_GE(reads[0].version, st.acked_puts.rbegin()->first)
-          << "read-your-writes violated on " << key;
-    }
   }
-  EXPECT_EQ(violations, 0);
+  for (const check::Violation& v : oracle.violations()) {
+    ADD_FAILURE() << v.ToString() << " seed=" << seed;
+  }
   const analysis::RaceDetector* race = cluster.simulator().race();
   ASSERT_NE(race, nullptr);
   EXPECT_TRUE(race->races().empty()) << race->Report(
@@ -289,6 +250,105 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.first) + "_g" +
              std::to_string(info.param.second);
     });
+
+// The shared oracle on hand-built histories: each kind fires exactly once
+// where it should, and a legal history fires nothing.
+GetResult ReadOf(Version version, const Buffer& bytes) {
+  return GetResult{OkStatus(), version, std::make_shared<Buffer>(bytes)};
+}
+
+GetResult FailedRead(Status status) {
+  return GetResult{std::move(status), 0, nullptr};
+}
+
+void ExpectOnly(const check::Oracle& oracle, check::Kind kind) {
+  ASSERT_EQ(oracle.violations().size(), 1u);
+  EXPECT_EQ(oracle.violations()[0].kind, kind)
+      << oracle.violations()[0].ToString();
+}
+
+const Buffer kA = EncodeValue("k", 1, 40);
+const Buffer kB = EncodeValue("k", 2, 40);
+
+TEST(ConsistencyOracleTest, LegalHistoryIsClean) {
+  check::Oracle oracle;
+  oracle.PutAcked("k", 1, kA);
+  oracle.PutAcked("k", 1, kA);  // a duplicate ack of the same write
+  const Version early = oracle.Floor("k");
+  oracle.PutAcked("k", 2, kB);
+  oracle.Read("k", early, ReadOf(1, kA));  // overlapped the v2 put
+  oracle.Read("k", oracle.Floor("k"), ReadOf(3, kA));  // v3: unknown bytes
+  oracle.Read("k", oracle.Floor("k"), FailedRead(UnavailableError("x")));
+  oracle.Sweep("k", ReadOf(3, kA));
+  oracle.PutAcked("gone", 1, kA);
+  oracle.DeleteAcked("gone");
+  oracle.Sweep("gone", FailedRead(NotFoundError("deleted")));
+  oracle.Sweep("never-put", FailedRead(NotFoundError("no such key")));
+  EXPECT_TRUE(oracle.violations().empty())
+      << oracle.violations()[0].ToString();
+  EXPECT_EQ(oracle.SweepKeys(), std::vector<Key>{"k"});
+}
+
+TEST(ConsistencyOracleTest, VersionReuse) {
+  check::Oracle oracle;
+  oracle.PutAcked("k", 4, kA);
+  oracle.PutAcked("k", 4, kB);
+  ExpectOnly(oracle, check::Kind::kVersionReuse);
+}
+
+TEST(ConsistencyOracleTest, CorruptRead) {
+  check::Oracle oracle;
+  oracle.PutAcked("k", 4, kA);
+  oracle.Read("k", 0, ReadOf(4, kB));
+  ExpectOnly(oracle, check::Kind::kCorruptRead);
+}
+
+TEST(ConsistencyOracleTest, TimeTravelBelowTheReadFloor) {
+  check::Oracle oracle;
+  oracle.Read("k", 0, ReadOf(5, kA));
+  const Version floor = oracle.Floor("k");
+  EXPECT_EQ(floor, 5u);
+  oracle.Read("k", floor, ReadOf(3, kA));
+  ExpectOnly(oracle, check::Kind::kTimeTravel);
+}
+
+TEST(ConsistencyOracleTest, TimeTravelBelowTheAcknowledgedFloor) {
+  check::Oracle oracle;
+  oracle.PutAcked("k", 5, kA);
+  const Version floor = oracle.Floor("k");
+  EXPECT_EQ(floor, 5u);
+  oracle.Read("k", floor, ReadOf(4, kB));
+  ExpectOnly(oracle, check::Kind::kTimeTravel);
+}
+
+TEST(ConsistencyOracleTest, Durability) {
+  check::Oracle oracle;
+  oracle.PutAcked("lost", 2, kA);
+  oracle.Sweep("lost", FailedRead(NotFoundError("no such key")));
+  oracle.PutAcked("old", 6, kB);
+  oracle.Sweep("old", ReadOf(6, kB));
+  ExpectOnly(oracle, check::Kind::kDurability);
+  check::Oracle regressed;
+  regressed.PutAcked("k", 6, kA);
+  regressed.Sweep("k", ReadOf(5, kB));  // not also time travel
+  ExpectOnly(regressed, check::Kind::kDurability);
+}
+
+TEST(ConsistencyOracleTest, Unanswered) {
+  check::Oracle oracle;
+  oracle.PutAcked("k", 1, kA);
+  oracle.Sweep("k", FailedRead(TimeoutError("retry budget exhausted")));
+  ExpectOnly(oracle, check::Kind::kUnanswered);
+}
+
+// ring-mc reports the oracle's kinds under these names.
+TEST(ConsistencyOracleTest, KindNames) {
+  EXPECT_STREQ(check::KindName(check::Kind::kVersionReuse), "version-reuse");
+  EXPECT_STREQ(check::KindName(check::Kind::kCorruptRead), "corrupt-read");
+  EXPECT_STREQ(check::KindName(check::Kind::kTimeTravel), "time-travel");
+  EXPECT_STREQ(check::KindName(check::Kind::kDurability), "durability");
+  EXPECT_STREQ(check::KindName(check::Kind::kUnanswered), "unanswered");
+}
 
 TEST(ConsistencyFailureFuzzTest, CommittedReliableDataSurvivesFailures) {
   for (uint64_t seed : {5ULL, 17ULL, 33ULL}) {

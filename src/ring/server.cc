@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -58,6 +59,15 @@ void InvokeReply(const std::function<void(Status)>& reply,
   reply(status);
 }
 
+// Copies the bytes of `extent` at [addr, addr + out.size()) into `out`;
+// bytes past the extent stay as they are (zero in a fresh buffer).
+void CopyClipped(const ByteExtent& extent, uint64_t addr, Buffer& out) {
+  if (addr < extent.size()) {
+    const uint64_t n = std::min<uint64_t>(out.size(), extent.size() - addr);
+    std::memcpy(out.data(), extent.data() + addr, n);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -79,15 +89,11 @@ std::pair<uint64_t, uint32_t> RingServer::ShardStore::Allocate(uint32_t len) {
   return {addr, len};
 }
 
-void RingServer::ShardStore::EnsureSize(uint64_t size) {
-  if (heap.size() < size) {
-    heap.resize(size, 0);
-  }
-}
+void RingServer::ShardStore::EnsureSize(uint64_t size) { heap.Grow(size); }
 
 void RingServer::ShardStore::Write(uint64_t addr, ByteSpan bytes) {
   EnsureSize(addr + bytes.size());
-  std::copy(bytes.begin(), bytes.end(), heap.begin() + addr);
+  std::copy(bytes.begin(), bytes.end(), heap.data() + addr);
 }
 
 ByteSpan RingServer::ShardStore::Read(uint64_t addr, uint32_t len) const {
@@ -95,11 +101,7 @@ ByteSpan RingServer::ShardStore::Read(uint64_t addr, uint32_t len) const {
   return ByteSpan(heap.data() + addr, len);
 }
 
-void RingServer::ParityStore::EnsureSize(uint64_t size) {
-  if (mem.size() < size) {
-    mem.resize(size, 0);
-  }
-}
+void RingServer::ParityStore::EnsureSize(uint64_t size) { mem.Grow(size); }
 
 bool RingServer::SeqWindow::MarkOnce(uint64_t seq) {
   if (seq < base) {
@@ -1812,10 +1814,7 @@ Buffer RingServer::ReadRawForRecovery(MemgestId memgest, uint32_t shard,
   if (sit == it->second.stores.end()) {
     return out;
   }
-  const Buffer& heap = sit->second.heap;
-  for (uint32_t i = 0; i < len && addr + i < heap.size(); ++i) {
-    out[i] = heap[addr + i];
-  }
+  CopyClipped(sit->second.heap, addr, out);
   return out;
 }
 
@@ -1835,10 +1834,7 @@ Buffer RingServer::ReadRawParity(MemgestId memgest, uint32_t group,
   if (git == it->second.parity.end()) {
     return out;
   }
-  const Buffer& mem = git->second.mem;
-  for (uint32_t i = 0; i < len && addr + i < mem.size(); ++i) {
-    out[i] = mem[addr + i];
-  }
+  CopyClipped(git->second.mem, addr, out);
   return out;
 }
 

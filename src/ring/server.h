@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/analysis/race.h"
+#include "src/common/byte_extent.h"
 #include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/consensus/config.h"
@@ -423,9 +424,10 @@ class RingServer {
 
   // Per-shard object store: a virtual address space (heap) plus the shard's
   // metadata hashtable. Coordinators own one for their shard; replicas hold
-  // mirrors for shards they back.
+  // mirrors for shards they back. The heap grows in place and reads as zero
+  // until written (DESIGN.md §17.7).
   struct ShardStore {
-    Buffer heap;
+    ByteExtent heap;
     uint64_t next_addr = 0;
     uint64_t write_seq = 0;  // fencing counter for parity rebuild
     std::vector<std::pair<uint64_t, uint32_t>> free_list;  // (addr, len)
@@ -446,7 +448,7 @@ class RingServer {
   // nodes store more metadata than data nodes).
   struct ParityStore {
     uint32_t parity_index = 0;
-    Buffer mem;
+    ByteExtent mem;
     std::map<uint32_t, MetadataTable> shard_meta;
     // False on a freshly promoted parity node until the buffer is
     // reconstructed from the data shards; unrebuilt parity must not serve

@@ -984,7 +984,7 @@ void RingServer::RebuildParity(const MemgestInfo& info, uint32_t pkey,
       NoteAccess(RegionKind::kParityStrip, AccessKind::kWrite,
                  ScopeOf(info_ptr->id, group), 0, UINT64_MAX,
                  "parity_rebuild/strip");
-      std::fill(par.mem.begin(), par.mem.end(), 0);
+      par.mem.Zero();
       // Collect every (coefficient, source, parity range) contribution
       // first, then fuse: segments from different shards that map to the
       // same parity range (same mini-stripe cell) are accumulated in one

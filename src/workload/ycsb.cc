@@ -1,6 +1,7 @@
 #include "src/workload/ycsb.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <cstring>
 
 namespace ring::workload {
 
@@ -11,11 +12,19 @@ YcsbWorkload::YcsbWorkload(YcsbSpec spec, uint64_t seed)
       uniform_(spec.num_keys) {}
 
 std::string YcsbWorkload::KeyOf(uint64_t rank) const {
-  // Fixed-width decimal key, `key_len` bytes (paper: 8-byte keys).
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%0*llu", spec_.key_len,
-                static_cast<unsigned long long>(rank % 100000000ULL));
-  return std::string(buf, spec_.key_len);
+  // Fixed-width decimal key, `key_len` bytes (paper: 8-byte keys): the rank
+  // modulo 10^8, zero-padded on the left. A width below the digit count
+  // keeps the leading digits (the `%0*llu` format, cut to `key_len`).
+  char digits[8];
+  size_t n = 0;
+  for (uint64_t v = rank % 100000000ULL; n == 0 || v != 0; v /= 10) {
+    digits[sizeof(digits) - ++n] = static_cast<char>('0' + v % 10);
+  }
+  const size_t width = spec_.key_len;
+  const size_t kept = std::min<size_t>(width, n);
+  std::string key(width, '0');
+  std::memcpy(key.data() + (width - kept), digits + sizeof(digits) - n, kept);
+  return key;
 }
 
 Op YcsbWorkload::Next(uint64_t rank_offset) {

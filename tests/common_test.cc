@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "src/common/byte_extent.h"
 #include "src/common/bytes.h"
 #include "src/common/hash.h"
 #include "src/common/result.h"
@@ -208,6 +211,95 @@ TEST(HashTest, DeterministicAndSpread) {
   for (int c : counts) {
     EXPECT_NEAR(c, 10000, 500);
   }
+}
+
+bool AllZero(const ByteExtent& e, uint64_t from = 0) {
+  return std::all_of(e.data() + from, e.data() + e.size(),
+                     [](uint8_t b) { return b == 0; });
+}
+
+TEST(ByteExtentTest, NeverWrittenBytesReadZero) {
+  ByteExtent e;
+  EXPECT_EQ(e.size(), 0u);
+  EXPECT_EQ(e.data(), nullptr);
+  e.Grow(100);
+  EXPECT_EQ(e.size(), 100u);
+  EXPECT_TRUE(AllZero(e));
+  e.Grow(50);  // never shrinks
+  EXPECT_EQ(e.size(), 100u);
+}
+
+TEST(ByteExtentTest, GrowthPreservesWrittenBytes) {
+  ByteExtent e;
+  const Buffer pattern = MakePatternBuffer(5000, 3);
+  e.Grow(pattern.size());
+  std::copy(pattern.begin(), pattern.end(), e.data());
+  // Past several remaps: the first granule, then doublings.
+  for (const uint64_t size : {70'000ull, 300'000ull, 5'000'000ull}) {
+    e.Grow(size);
+    ASSERT_EQ(e.size(), size);
+    EXPECT_TRUE(std::equal(pattern.begin(), pattern.end(), e.data()));
+    EXPECT_TRUE(AllZero(e, pattern.size()));
+  }
+  e.Zero();
+  EXPECT_EQ(e.size(), 5'000'000u);
+  EXPECT_TRUE(AllZero(e));
+}
+
+TEST(ByteExtentTest, RecycledMemoryReadsZero) {
+  const uint8_t* dirty_bytes = nullptr;
+  {
+    ByteExtent dirty;
+    dirty.Grow(200'000);
+    std::fill(dirty.data(), dirty.data() + dirty.size(), 0xAB);
+    dirty_bytes = dirty.data();
+  }
+  const size_t pooled = ByteExtent::PooledCount();
+  ASSERT_GE(pooled, 1u);
+  ByteExtent fresh;
+  fresh.Grow(200'000);
+  EXPECT_EQ(fresh.data(), dirty_bytes);  // the pool is last in, first out
+  EXPECT_EQ(ByteExtent::PooledCount(), pooled - 1);
+  EXPECT_TRUE(AllZero(fresh));
+  fresh.Grow(600'000);  // remapped past the dirty owner's high-water mark
+  EXPECT_TRUE(AllZero(fresh));
+}
+
+TEST(ByteExtentTest, PoolNeverExceedsItsBound) {
+  {
+    std::vector<ByteExtent> many(ByteExtent::kPoolBound + 8);
+    for (ByteExtent& e : many) {
+      e.Grow(64);
+      e.data()[0] = 1;
+    }
+  }
+  EXPECT_EQ(ByteExtent::PooledCount(), ByteExtent::kPoolBound);
+  ByteExtent taken;
+  taken.Grow(1);
+  EXPECT_EQ(ByteExtent::PooledCount(), ByteExtent::kPoolBound - 1);
+  EXPECT_TRUE(AllZero(taken));
+}
+
+TEST(ByteExtentTest, MovedFromExtentIsEmpty) {
+  ByteExtent a;
+  a.Grow(10);
+  a.data()[3] = 7;
+  const uint8_t* bytes = a.data();
+  ByteExtent b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.data(), bytes);
+  EXPECT_EQ(b.data()[3], 7);
+  ByteExtent c;
+  c.Grow(5);
+  c = std::move(b);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.data(), nullptr);
+  EXPECT_EQ(c.size(), 10u);
+  EXPECT_EQ(c.data()[3], 7);
+  // A moved-from extent is usable again and starts from zero.
+  b.Grow(4);
+  EXPECT_TRUE(AllZero(b));
 }
 
 TEST(BytesTest, PatternBufferDeterministic) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -80,6 +81,31 @@ TEST(YcsbTest, DeterministicStream) {
     const Op y = b.Next();
     EXPECT_EQ(x.key, y.key);
     EXPECT_EQ(x.kind, y.kind);
+  }
+}
+
+// The `%0*llu` format KeyOf has always meant, formatted into a buffer wide
+// enough for any tested width and cut to `key_len` bytes.
+std::string FormattedKey(uint64_t rank, uint32_t key_len) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "%0*llu", static_cast<int>(key_len),
+                static_cast<unsigned long long>(rank % 100000000ULL));
+  return std::string(buf, key_len);
+}
+
+TEST(YcsbTest, KeyOfMatchesZeroPaddedFormat) {
+  for (const uint32_t width : {1u, 2u, 7u, 8u, 9u, 31u, 32u, 40u}) {
+    YcsbSpec spec;
+    spec.key_len = width;
+    const YcsbWorkload workload(spec, 1);
+    for (const uint64_t rank :
+         {0ull, 1ull, 9ull, 10ull, 42ull, 12345678ull, 99999999ull,
+          100000000ull, 100000007ull, 123456789012ull}) {
+      const std::string key = workload.KeyOf(rank);
+      EXPECT_EQ(key.size(), width);
+      EXPECT_EQ(key, FormattedKey(rank, width))
+          << "rank " << rank << " width " << width;
+    }
   }
 }
 

@@ -20,9 +20,10 @@
 #                             # plain and ASan, rebalance bench, ringctl
 #                             # cluster smoke
 #   tools/check.sh --perf     # simulator fast path: scheduler/pool/shard
-#                             # unit tests, determinism gates, a short
-#                             # perfbench put_rep3 run (self-tests first;
-#                             # must print "correct": true), simstats smoke
+#                             # unit tests, determinism gates, short
+#                             # perfbench put_rep3 and read_zipf runs
+#                             # (self-tests first; each must print
+#                             # "correct": true), simstats smoke
 #   tools/check.sh --mc       # schedule-space model checker: mc_test (DPOR,
 #                             # shrinker, replay), then per known-bug
 #                             # scenario: rediscover with the bug injected
@@ -142,14 +143,16 @@ if [[ "${MODE}" == "--perf" ]]; then
   ./build/tests/sim_test
   echo "== perf: determinism gates (same seed, same bytes) =="
   ./build/tests/determinism_test
-  echo "== perf: perfbench put_rep3 run (self-tests, then 3 s measured) =="
-  result="$(python3 perfbench/run.py --workload put_rep3 --seed 1 \
-    --seconds 3 --trace 0 | tail -n 1)"
-  echo "${result}"
-  if [[ "${result}" != *'"correct": true'* ]]; then
-    echo "perf: perfbench put_rep3 run did not report correct" >&2
-    exit 1
-  fi
+  for workload in put_rep3 read_zipf; do
+    echo "== perf: perfbench ${workload} run (self-tests, then 3 s measured) =="
+    result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+      --seconds 3 --trace 0 | tail -n 1)"
+    echo "${result}"
+    if [[ "${result}" != *'"correct": true'* ]]; then
+      echo "perf: perfbench ${workload} run did not report correct" >&2
+      exit 1
+    fi
+  done
   echo "== perf: ringctl simstats smoke =="
   ./build/tools/ringctl simstats --reps=200 --cores-per-node=2 >/dev/null
   echo "check.sh: perf suite passed"
